@@ -4,7 +4,7 @@ GO ?= go
 # pipeline.
 BENCHTIME ?= 1s
 
-.PHONY: build test race vet check bench-json bench-smoke bench-diff bench-save obs-smoke daemon-smoke chaos-smoke flight-smoke service-bench
+.PHONY: build test race vet surfbench-check check bench-json bench-smoke bench-diff bench-save obs-smoke daemon-smoke chaos-smoke flight-smoke service-bench
 
 build:
 	$(GO) build ./...
@@ -18,8 +18,15 @@ race:
 vet:
 	$(GO) vet ./...
 
+# The benchmark is a module of its own (surfbench/go.mod), which the root
+# ./... patterns do not reach: vet and test it explicitly, so an API change
+# that breaks the benchmark fails the check.
+surfbench-check:
+	$(GO) -C surfbench vet ./...
+	$(GO) -C surfbench test ./...
+
 # The standard pre-commit check.
-check: vet race
+check: vet race surfbench-check
 
 # Machine-readable benchmark trajectory: run the decoder and sim benchmarks
 # and emit BENCH_decoder.json (ns/op, B/op, allocs/op per benchmark).

@@ -93,7 +93,7 @@ func run() (exit int) {
 	seed := flag.Uint64("seed", 1, "service epoch seed (per-epoch rng streams derive from it)")
 	queueLimit := flag.Int("queue-limit", 0, "admission queue bound; arrivals beyond it are shed with 429 (0: default 256)")
 	epochMax := flag.Int("epoch-max", 0, "max transfers batched into one planning epoch (0: default 32)")
-	fiberFailProb := flag.Float64("fiber-fail-prob", 0, "per-slot fiber crash probability during execution")
+	fiberCrashProb := flag.Float64("fiber-fail-prob", 0, "per-slot fiber crash probability during execution")
 	faultIntensity := flag.Float64("faults", 0, "arm the live fault plane with the resilience scenario at this intensity (0: off)")
 	faultScript := flag.String("fault-script", "", "scripted outage timetable for the live fault plane: SLOT:fiber|node:ID:DURATION,...")
 	faultTick := flag.Duration("fault-tick", 0, "fault-plane step period (0: default 250ms)")
@@ -135,7 +135,7 @@ func run() (exit int) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Decoder = decoder.SurfNet{}
-	cfg.FiberFailProb = *fiberFailProb
+	cfg.Faults = &surfnet.FaultProfile{FiberCrashProb: *fiberCrashProb, FiberRepairSlots: 5}
 	eng, err := core.NewEngine(net, cfg)
 	if err != nil {
 		slog.Error("surfnetd: building engine", "err", err)

@@ -48,8 +48,7 @@ func main() {
 	fmt.Printf("%-18s %10s %10s %10s %12s\n", "mode", "delivered", "fidelity", "latency", "recoveries")
 	for _, disable := range []bool{false, true} {
 		cfg := surfnet.DefaultEngine()
-		cfg.FiberFailProb = 0.05
-		cfg.RepairSlots = 20
+		cfg.Faults = &surfnet.FaultProfile{FiberCrashProb: 0.05, FiberRepairSlots: 20}
 		cfg.MaxSlots = 1000
 		cfg.DisableRecovery = disable
 		res, err := surfnet.Execute(net, sched, cfg, surfnet.NewRand(3))

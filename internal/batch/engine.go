@@ -34,7 +34,7 @@ func (s *Stats) Add(o Stats) {
 // syndromes are fully explained by even-or-boundary erasure clusters and
 // falls back to the scalar decoder, verbatim, for the rest. The logical
 // verdict of every lane is bit-for-bit the scalar pipeline's verdict
-// (decoder.DecodeFrame) on the identical error realization.
+// (decoder.DecodeFrameWith) on the identical error realization.
 //
 // An Engine is NOT safe for concurrent use: it owns its scratch arenas.
 // Parallel sweeps give each worker its own Engine (sim.Scratch) and split

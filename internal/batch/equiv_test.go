@@ -24,7 +24,7 @@ var equivGrid = []struct{ p, e float64 }{
 
 // TestLaneVsScalarEquivalence is the tentpole property: for every lane of
 // every packed batch, the engine's logical-error verdict must equal the
-// scalar pipeline's verdict (decoder.DecodeFrame) on the identical error
+// scalar pipeline's verdict (decoder.DecodeFrameWith) on the identical error
 // realization, unpacked from the engine's own planes.
 func TestLaneVsScalarEquivalence(t *testing.T) {
 	decs := []decoder.Decoder{decoder.UnionFind{}, decoder.SurfNet{}}
@@ -58,7 +58,7 @@ func TestLaneVsScalarEquivalence(t *testing.T) {
 					}
 					for l := 0; l < lanes; l++ {
 						frame, erased = eng.Planes().Unpack(l, frame, erased)
-						res, err := decoder.DecodeFrame(code, dec, frame, erased, probs)
+						res, _, err := decoder.DecodeFrameWith(code, dec, frame, erased, probs, nil, nil)
 						if err != nil {
 							t.Fatalf("d=%d %s batch %d lane %d: scalar oracle: %v", d, dec.Name(), bi, l, err)
 						}

@@ -32,7 +32,7 @@ func TestAdaptiveScheduleExecutesEndToEnd(t *testing.T) {
 	if !sawDistance {
 		t.Fatal("adaptive schedule carries no distances")
 	}
-	res, err := Run(net, sched, DefaultConfig(), rng.New(77))
+	res, err := run(net, sched, DefaultConfig(), rng.New(77))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestAdaptiveDistanceTradesFidelity(t *testing.T) {
 			if err != nil || sched.AcceptedCodes() == 0 {
 				t.Fatalf("scheduling failed: %v", err)
 			}
-			res, err := Run(net, sched, DefaultConfig(), rng.New(uint64(500+i)))
+			res, err := run(net, sched, DefaultConfig(), rng.New(uint64(500+i)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"surfnet/internal/decoder"
+	"surfnet/internal/faults"
 	"surfnet/internal/network"
 	"surfnet/internal/rng"
 	"surfnet/internal/routing"
@@ -36,6 +38,15 @@ func lineNet(t *testing.T, fidelity float64, entRate, lossProb float64) *network
 	return n
 }
 
+// run executes sched on a fresh engine over net with one worker.
+func run(net *network.Network, sched routing.Schedule, cfg Config, src *rng.Source) (RunResult, error) {
+	eng, err := NewEngine(net, cfg)
+	if err != nil {
+		return RunResult{}, err
+	}
+	return eng.ExecuteParallel(context.Background(), sched, src, 1)
+}
+
 // mustSchedule schedules one request end to end.
 func mustSchedule(t *testing.T, net *network.Network, d routing.Design, messages int) routing.Schedule {
 	t.Helper()
@@ -56,22 +67,22 @@ func TestConfigValidation(t *testing.T) {
 	src := rng.New(1)
 	bad := DefaultConfig()
 	bad.Code = nil
-	if _, err := Run(net, sched, bad, src); err == nil {
+	if _, err := run(net, sched, bad, src); err == nil {
 		t.Error("nil code should fail")
 	}
 	bad = DefaultConfig()
 	bad.Decoder = nil
-	if _, err := Run(net, sched, bad, src); err == nil {
+	if _, err := run(net, sched, bad, src); err == nil {
 		t.Error("nil decoder should fail")
 	}
 	bad = DefaultConfig()
 	bad.MinSegment = 0
-	if _, err := Run(net, sched, bad, src); err == nil {
+	if _, err := run(net, sched, bad, src); err == nil {
 		t.Error("zero MinSegment should fail")
 	}
 	bad = DefaultConfig()
 	bad.Code = surfacecode.MustNew(3, surfacecode.CoreLShape)
-	if _, err := Run(net, sched, bad, src); err == nil {
+	if _, err := run(net, sched, bad, src); err == nil {
 		t.Error("code/schedule size mismatch should fail")
 	}
 }
@@ -81,7 +92,7 @@ func TestSurfNetCleanDelivery(t *testing.T) {
 	// very high fidelity.
 	net := lineNet(t, 0.999, 0.9, 0.001)
 	sched := mustSchedule(t, net, routing.SurfNet, 4)
-	res, err := Run(net, sched, DefaultConfig(), rng.New(7))
+	res, err := run(net, sched, DefaultConfig(), rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +118,7 @@ func TestSurfNetPerformsScheduledCorrections(t *testing.T) {
 	if len(sched.Requests[0].Codes[0].Servers) != 1 {
 		t.Fatal("precondition: schedule should include one EC")
 	}
-	res, err := Run(net, sched, DefaultConfig(), rng.New(11))
+	res, err := run(net, sched, DefaultConfig(), rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +135,7 @@ func TestSurfNetPerformsScheduledCorrections(t *testing.T) {
 func TestRawDelivery(t *testing.T) {
 	net := lineNet(t, 0.95, 0.0, 0.05) // no entanglement needed for Raw
 	sched := mustSchedule(t, net, routing.Raw, 3)
-	res, err := Run(net, sched, DefaultConfig(), rng.New(13))
+	res, err := run(net, sched, DefaultConfig(), rng.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +154,7 @@ func TestSurfNetSlowerEntanglementMeansHigherLatency(t *testing.T) {
 	slow := lineNet(t, 0.95, 0.15, 0.02)
 	latency := func(net *network.Network) float64 {
 		sched := mustSchedule(t, net, routing.SurfNet, 6)
-		res, err := Run(net, sched, DefaultConfig(), rng.New(17))
+		res, err := run(net, sched, DefaultConfig(), rng.New(17))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +173,7 @@ func TestPurificationDesigns(t *testing.T) {
 	net := lineNet(t, 0.9, 0.6, 0.02)
 	for _, d := range []routing.Design{routing.Purification1, routing.Purification2, routing.Purification9} {
 		sched := mustSchedule(t, net, d, 3)
-		res, err := Run(net, sched, DefaultConfig(), rng.New(19))
+		res, err := run(net, sched, DefaultConfig(), rng.New(19))
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
@@ -189,7 +200,7 @@ func TestPurificationDesigns(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.MaxSlots = 3000
 			cfg.MemoryDecay = decay
-			res, err := Run(poor, sched, cfg, rng.New(uint64(100+i)))
+			res, err := run(poor, sched, cfg, rng.New(uint64(100+i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,13 +236,13 @@ func TestWaitForCompleteTradeoff(t *testing.T) {
 	// record retransmission waves.
 	net := lineNet(t, 0.97, 0.9, 0.25)
 	sched := mustSchedule(t, net, routing.SurfNet, 8)
-	early, err := Run(net, sched, DefaultConfig(), rng.New(23))
+	early, err := run(net, sched, DefaultConfig(), rng.New(23))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.WaitForComplete = true
-	waiting, err := Run(net, sched, cfg, rng.New(23))
+	waiting, err := run(net, sched, cfg, rng.New(23))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,10 +293,9 @@ func TestFiberOutagesAndRecovery(t *testing.T) {
 		t.Fatalf("scheduling failed: %v", err)
 	}
 	cfg := DefaultConfig()
-	cfg.FiberFailProb = 0.05
-	cfg.RepairSlots = 20
+	cfg.Faults = &faults.Profile{FiberCrashProb: 0.05, FiberRepairSlots: 20}
 	cfg.MaxSlots = 1000
-	res, err := Run(net, sched, cfg, rng.New(29))
+	res, err := run(net, sched, cfg, rng.New(29))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +304,7 @@ func TestFiberOutagesAndRecovery(t *testing.T) {
 	}
 	// With recovery disabled the same seeds must never reroute.
 	cfg.DisableRecovery = true
-	res2, err := Run(net, sched, cfg, rng.New(29))
+	res2, err := run(net, sched, cfg, rng.New(29))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,11 +318,11 @@ func TestFiberOutagesAndRecovery(t *testing.T) {
 func TestRunDeterminism(t *testing.T) {
 	net := lineNet(t, 0.9, 0.5, 0.05)
 	sched := mustSchedule(t, net, routing.SurfNet, 3)
-	a, err := Run(net, sched, DefaultConfig(), rng.New(42))
+	a, err := run(net, sched, DefaultConfig(), rng.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(net, sched, DefaultConfig(), rng.New(42))
+	b, err := run(net, sched, DefaultConfig(), rng.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +359,7 @@ func TestEndToEndOnGeneratedTopology(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.Decoder = decoder.SurfNet{}
-		res, err := Run(net, sched, cfg, src.Split(d.String()))
+		res, err := run(net, sched, cfg, src.Split(d.String()))
 		if err != nil {
 			t.Fatalf("%v: run: %v", d, err)
 		}

@@ -45,7 +45,9 @@ func TestConfigValidationFaultKnobs(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"negative RepairSlots", func(c *Config) { c.RepairSlots = -1 }},
+		{"negative fiber repair slots", func(c *Config) {
+			c.Faults = &faults.Profile{FiberCrashProb: 0.1, FiberRepairSlots: -1}
+		}},
 		{"negative RecoveryBackoff", func(c *Config) { c.RecoveryBackoff = -2 }},
 		{"negative RecoveryBackoffMax", func(c *Config) { c.RecoveryBackoffMax = -1 }},
 		{"backoff cap below start", func(c *Config) { c.RecoveryBackoff = 8; c.RecoveryBackoffMax = 4 }},
@@ -63,39 +65,9 @@ func TestConfigValidationFaultKnobs(t *testing.T) {
 	for _, tc := range cases {
 		cfg := DefaultConfig()
 		tc.mut(&cfg)
-		if _, err := Run(net, sched, cfg, rng.New(1)); err == nil {
-			t.Errorf("%s: Run accepted invalid config", tc.name)
+		if _, err := run(net, sched, cfg, rng.New(1)); err == nil {
+			t.Errorf("%s: run accepted invalid config", tc.name)
 		}
-	}
-}
-
-func TestLegacyFiberFailMatchesExplicitProfile(t *testing.T) {
-	// The legacy FiberFailProb/RepairSlots fields are folded into the
-	// injector's fiber-crash scenario; an explicit profile with the same
-	// parameters must reproduce every outcome byte-identically.
-	net := ringNet(t)
-	p := routing.DefaultParams(routing.SurfNet)
-	sched, err := routing.Greedy(net, []network.Request{{Src: 0, Dst: 4, Messages: 10}}, p, nil, nil)
-	if err != nil || sched.AcceptedCodes() == 0 {
-		t.Fatalf("scheduling failed: %v", err)
-	}
-	legacy := DefaultConfig()
-	legacy.FiberFailProb = 0.05
-	legacy.RepairSlots = 20
-	legacy.MaxSlots = 1000
-	a, err := Run(net, sched, legacy, rng.New(29))
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit := DefaultConfig()
-	explicit.MaxSlots = 1000
-	explicit.Faults = &faults.Profile{FiberCrashProb: 0.05, FiberRepairSlots: 20}
-	b, err := Run(net, sched, explicit, rng.New(29))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("legacy fields and explicit profile diverge:\n%+v\nvs\n%+v", a, b)
 	}
 }
 
@@ -114,7 +86,7 @@ func TestNodeOutageSkipsCorrection(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	cfg.Metrics = reg
-	res, err := Run(net, sched, cfg, rng.New(11))
+	res, err := run(net, sched, cfg, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +119,7 @@ func blockedRun(t *testing.T, cfg Config) telemetry.Snapshot {
 	cfg.MaxSlots = 200
 	reg := telemetry.NewRegistry()
 	cfg.Metrics = reg
-	res, err := Run(net, sched, cfg, rng.New(31))
+	res, err := run(net, sched, cfg, rng.New(31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +190,7 @@ func TestRecoveryNeverDetoursThroughUsers(t *testing.T) {
 	cfg.MaxSlots = 200
 	reg := telemetry.NewRegistry()
 	cfg.Metrics = reg
-	res, err := Run(net, sched, cfg, rng.New(37))
+	res, err := run(net, sched, cfg, rng.New(37))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +292,7 @@ func TestReplanAfterPersistentRecoveryFailure(t *testing.T) {
 	cfg.MaxSlots = 400
 	reg := telemetry.NewRegistry()
 	cfg.Metrics = reg
-	res, err := Run(net, sched, cfg, rng.New(41))
+	res, err := run(net, sched, cfg, rng.New(41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +309,7 @@ func TestReplanAfterPersistentRecoveryFailure(t *testing.T) {
 	}
 	// Without re-planning the same scenario must time out.
 	cfg.ReplanAfterFails = 0
-	res2, err := Run(net, sched, cfg, rng.New(41))
+	res2, err := run(net, sched, cfg, rng.New(41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +334,7 @@ func TestReplanFailureWhenNetworkSevered(t *testing.T) {
 	cfg.MaxSlots = 200
 	reg := telemetry.NewRegistry()
 	cfg.Metrics = reg
-	res, err := Run(net, sched, cfg, rng.New(43))
+	res, err := run(net, sched, cfg, rng.New(43))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,13 +356,13 @@ func TestDriftDegradesFidelity(t *testing.T) {
 	// to the fault-free run of the same schedule and seed.
 	net := lineNet(t, 0.95, 0.9, 0.02)
 	sched := mustSchedule(t, net, routing.SurfNet, 20)
-	clean, err := Run(net, sched, DefaultConfig(), rng.New(47))
+	clean, err := run(net, sched, DefaultConfig(), rng.New(47))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.Faults = &faults.Profile{DriftProb: 1, DriftWindow: 1000, DriftDecay: 0.7}
-	drifted, err := Run(net, sched, cfg, rng.New(47))
+	drifted, err := run(net, sched, cfg, rng.New(47))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,11 +396,11 @@ func TestFaultInjectedRunDeterminism(t *testing.T) {
 		DriftDecay:          0.9,
 		Script:              []faults.ScriptedFault{{Slot: 30, Duration: 20, ID: 2}},
 	}
-	a, err := Run(net, sched, cfg, rng.New(53))
+	a, err := run(net, sched, cfg, rng.New(53))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(net, sched, cfg, rng.New(53))
+	b, err := run(net, sched, cfg, rng.New(53))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,31 +410,21 @@ func TestFaultInjectedRunDeterminism(t *testing.T) {
 }
 
 func TestPurificationFaultsOptIn(t *testing.T) {
-	// Legacy FiberFailProb never applied to purification baselines; only an
-	// explicit profile may change their results.
+	// A fault profile changes the purification baselines' results just as
+	// it does SurfNet's.
 	net := lineNet(t, 0.9, 0.6, 0.02)
 	sched := mustSchedule(t, net, routing.Purification2, 3)
-	base, err := Run(net, sched, DefaultConfig(), rng.New(19))
+	base, err := run(net, sched, DefaultConfig(), rng.New(19))
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := DefaultConfig()
-	legacy.FiberFailProb = 0.2
-	legacy.RepairSlots = 10
-	same, err := Run(net, sched, legacy, rng.New(19))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, same) {
-		t.Fatal("legacy FiberFailProb changed purification results")
-	}
-	explicit := DefaultConfig()
-	explicit.Faults = &faults.Profile{FiberCrashProb: 0.2, FiberRepairSlots: 10}
-	faulty, err := Run(net, sched, explicit, rng.New(19))
+	cfg := DefaultConfig()
+	cfg.Faults = &faults.Profile{FiberCrashProb: 0.2, FiberRepairSlots: 10}
+	faulty, err := run(net, sched, cfg, rng.New(19))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reflect.DeepEqual(base, faulty) {
-		t.Fatal("explicit profile had no effect on purification baseline")
+		t.Fatal("fault profile had no effect on purification baseline")
 	}
 }

@@ -32,7 +32,7 @@ func TestPairLifetimeGatesDelivery(t *testing.T) {
 		n := 0
 		const trials = 40
 		for i := 0; i < trials; i++ {
-			res, err := Run(net, sched, cfg, rng.New(uint64(i+1)))
+			res, err := run(net, sched, cfg, rng.New(uint64(i+1)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +65,7 @@ func TestSwapEfficiencyCostsFidelity(t *testing.T) {
 		succ := 0
 		const trials = 300
 		for i := 0; i < trials; i++ {
-			res, err := Run(net, sched, cfg, rng.New(uint64(i+1)))
+			res, err := run(net, sched, cfg, rng.New(uint64(i+1)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,12 +89,12 @@ func TestSwapEfficiencyValidation(t *testing.T) {
 	sched := purifSchedule(t, net, routing.Purification1)
 	cfg := DefaultConfig()
 	cfg.SwapEfficiency = 1.5
-	if _, err := Run(net, sched, cfg, rng.New(1)); err == nil {
+	if _, err := run(net, sched, cfg, rng.New(1)); err == nil {
 		t.Error("SwapEfficiency > 1 should fail validation")
 	}
 	cfg = DefaultConfig()
 	cfg.PairLifetime = -1
-	if _, err := Run(net, sched, cfg, rng.New(1)); err == nil {
+	if _, err := run(net, sched, cfg, rng.New(1)); err == nil {
 		t.Error("negative PairLifetime should fail validation")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"surfnet/internal/decoder"
+	"surfnet/internal/faults"
 	"surfnet/internal/rng"
 	"surfnet/internal/routing"
 	"surfnet/internal/topology"
@@ -31,7 +32,7 @@ func residentFixture(t *testing.T) (*Engine, routing.Schedule) {
 	}
 	cfg := DefaultConfig()
 	cfg.Decoder = decoder.SurfNet{}
-	cfg.FiberFailProb = 0.01
+	cfg.Faults = &faults.Profile{FiberCrashProb: 0.01, FiberRepairSlots: 5}
 	eng, err := NewEngine(net, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -51,38 +52,15 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 }
 
-// TestEngineExecuteMatchesRun pins the refactor contract: the one-shot Run
-// wrapper and a resident Engine produce field-for-field identical outcomes.
-func TestEngineExecuteMatchesRun(t *testing.T) {
-	eng, sched := residentFixture(t)
-	want, err := Run(eng.Network(), sched, eng.Config(), rng.New(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.Execute(sched, rng.New(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Design != want.Design || len(got.Outcomes) != len(want.Outcomes) {
-		t.Fatalf("shape mismatch: %v/%d vs %v/%d",
-			got.Design, len(got.Outcomes), want.Design, len(want.Outcomes))
-	}
-	for i := range want.Outcomes {
-		if got.Outcomes[i] != want.Outcomes[i] {
-			t.Fatalf("outcome %d: %+v != %+v", i, got.Outcomes[i], want.Outcomes[i])
-		}
-	}
-}
-
 // TestEngineReentrant pins that one engine executing the same schedule twice
 // from equal seeds yields identical results — no state leaks between calls.
 func TestEngineReentrant(t *testing.T) {
 	eng, sched := residentFixture(t)
-	a, err := eng.Execute(sched, rng.New(5))
+	a, err := eng.ExecuteParallel(context.Background(), sched, rng.New(5), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := eng.Execute(sched, rng.New(5))
+	b, err := eng.ExecuteParallel(context.Background(), sched, rng.New(5), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,15 +72,15 @@ func TestEngineReentrant(t *testing.T) {
 }
 
 // TestExecuteParallelWorkerInvariance pins the daemon's determinism contract:
-// the parallel engine matches serial execution for every worker count, so
-// daemon-admitted transfers are reproducible regardless of pool width.
+// every worker count matches the one-worker run, so daemon-admitted transfers
+// are reproducible regardless of pool width.
 func TestExecuteParallelWorkerInvariance(t *testing.T) {
 	eng, sched := residentFixture(t)
-	want, err := eng.Execute(sched, rng.New(77))
+	want, err := eng.ExecuteParallel(context.Background(), sched, rng.New(77), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 3, 4} {
+	for _, workers := range []int{2, 3, 4} {
 		got, err := eng.ExecuteParallel(context.Background(), sched, rng.New(77), workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -140,8 +118,8 @@ func TestExecuteParallelEmptySchedule(t *testing.T) {
 	}
 }
 
-// TestExecuteSchedulePropagatesValidation pins that schedule-dependent
-// validation still fires on the resident path.
+// TestExecuteScheduleValidation pins that schedule-dependent validation
+// fires on the resident path.
 func TestExecuteScheduleValidation(t *testing.T) {
 	net := lineNet(t, 0.95, 0.5, 0.02)
 	sched := mustSchedule(t, net, routing.SurfNet, 1)
@@ -152,7 +130,7 @@ func TestExecuteScheduleValidation(t *testing.T) {
 	}
 	bad := sched
 	bad.Params.CoreQubits++
-	if _, err := eng.Execute(bad, rng.New(1)); err == nil || !strings.Contains(err.Error(), "qubits") {
+	if _, err := eng.ExecuteParallel(context.Background(), bad, rng.New(1), 1); err == nil || !strings.Contains(err.Error(), "qubits") {
 		t.Fatalf("schedule/code mismatch should fail, got %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"surfnet/internal/network"
@@ -131,6 +132,10 @@ func RunRounds(net *network.Network, rc RoundConfig, src *rng.Source) (RoundsRes
 	if maxBacklog == 0 {
 		maxBacklog = 64
 	}
+	eng, err := NewEngine(net, rc.Engine)
+	if err != nil {
+		return RoundsResult{}, err
+	}
 	var res RoundsResult
 	var backlog []network.Request
 	for round := 0; round < rc.Rounds; round++ {
@@ -160,7 +165,7 @@ func RunRounds(net *network.Network, rc RoundConfig, src *rng.Source) (RoundsRes
 			}
 			outcome.Scheduled = sched.AcceptedCodes()
 			if outcome.Scheduled > 0 {
-				run, err := Run(net, sched, rc.Engine, rsrc.Split("run"))
+				run, err := eng.ExecuteParallel(context.Background(), sched, rsrc.Split("run"), 1)
 				if err != nil {
 					return RoundsResult{}, fmt.Errorf("core: round %d execution: %w", round, err)
 				}

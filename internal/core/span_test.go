@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"surfnet/internal/faults"
 	"surfnet/internal/rng"
 	"surfnet/internal/routing"
 	"surfnet/internal/telemetry"
@@ -33,7 +34,7 @@ func collectSpans(t *testing.T, design routing.Design, cfg Config) map[[2]int][]
 	var buf bytes.Buffer
 	tr := telemetry.NewJSONL(&buf)
 	cfg.Tracer = tr
-	if _, err := Run(net, sched, cfg, rng.New(7)); err != nil {
+	if _, err := run(net, sched, cfg, rng.New(7)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Flush(); err != nil {
@@ -146,8 +147,7 @@ func TestPurificationSpanTreeWellFormed(t *testing.T) {
 // opens a new one under the same transfer.
 func TestReplanRotatesEpochSpans(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.FiberFailProb = 0.30
-	cfg.RepairSlots = 40
+	cfg.Faults = &faults.Profile{FiberCrashProb: 0.30, FiberRepairSlots: 40}
 	cfg.RecoveryBackoff = 1
 	cfg.ReplanAfterFails = 2
 	cfg.ReplanEpoch = 10
@@ -167,6 +167,6 @@ func TestReplanRotatesEpochSpans(t *testing.T) {
 		}
 	}
 	if !multiEpoch {
-		t.Skip("no re-plan triggered at this seed; raise FiberFailProb if this persists")
+		t.Skip("no re-plan triggered at this seed; raise FiberCrashProb if this persists")
 	}
 }

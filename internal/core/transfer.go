@@ -109,9 +109,7 @@ func newTransfer(net *network.Network, sched routing.Schedule, cfg Config, code 
 		erased:   make([]bool, nq),
 		isCore:   code.CoreMask(),
 		ins:      newInstruments(cfg.Metrics),
-	}
-	if p := cfg.faultProfile(); p != nil {
-		t.inj = p.Build(net)
+		inj:      cfg.injector(net),
 	}
 	t.support.path = append([]int(nil), cr.SupportPath...)
 	t.support.nodes = nodeSeq(net, req.Src, t.support.path)
@@ -669,7 +667,7 @@ func (t *transfer) decode(slot int) (bool, error) {
 		}
 		probs[q] = t.errProb[q]
 	}
-	res, stats, err := decoder.DecodeFrameMetered(code, t.cfg.Decoder, frame, t.erased, probs, t.cfg.Metrics)
+	res, stats, err := decoder.DecodeFrameWith(code, t.cfg.Decoder, frame, t.erased, probs, t.cfg.Metrics, nil)
 	if err != nil {
 		return false, fmt.Errorf("core: decoding at stop %d: %w", t.nextStop, err)
 	}

@@ -5,7 +5,7 @@
 // peeling decoder of Delfosse–Zémor for the final correction extraction.
 //
 // A Decoder works on one decoding graph at a time (the Z-graph for X-type
-// errors or the X-graph for Z-type errors). DecodeFrame runs a decoder on
+// errors or the X-graph for Z-type errors). DecodeFrameWith runs a decoder on
 // both graphs of a code and reports whether the corrected state carries a
 // logical error, which is the quantity the paper's Fig. 8 plots.
 package decoder
@@ -126,7 +126,7 @@ type Result struct {
 // counted by the paper's logical error rate.
 func (r Result) Failed() bool { return r.LogicalX || r.LogicalZ }
 
-// FrameStats reports the observable work of one DecodeFrame call, summed
+// FrameStats reports the observable work of one DecodeFrameWith call, summed
 // over both decoding graphs.
 type FrameStats struct {
 	// SyndromeWeight is the number of flipped syndrome measurements
@@ -139,30 +139,22 @@ type FrameStats struct {
 	Elapsed time.Duration
 }
 
-// DecodeFrame runs dec on both decoding graphs of code c for the sampled
+// DecodeFrameWith runs dec on both decoding graphs of code c for the sampled
 // error frame and erasure mask, applies the corrections, and reports logical
-// failure. errProb gives the per-qubit estimated single-graph error
-// probability (see surfacecode.NoiseModel.EdgeErrorProb).
-func DecodeFrame(c *surfacecode.Code, dec Decoder, frame quantum.Frame, erased []bool, errProb []float64) (Result, error) {
-	res, _, err := DecodeFrameMetered(c, dec, frame, erased, errProb, nil)
-	return res, err
-}
-
-// DecodeFrameMetered is DecodeFrame plus instrumentation: it reports the
-// call's FrameStats and, when reg is non-nil, records them under the
-// decoder's name — a "decoder.<name>.decodes" invocation counter,
-// "decode_seconds", "syndrome_weight" and "correction_weight" histograms,
-// and a "logical_failures" counter. A nil registry records nothing.
-func DecodeFrameMetered(c *surfacecode.Code, dec Decoder, frame quantum.Frame, erased []bool, errProb []float64, reg *telemetry.Registry) (Result, FrameStats, error) {
-	return DecodeFrameWith(c, dec, frame, erased, errProb, reg, nil)
-}
-
-// DecodeFrameWith is DecodeFrameMetered with a caller-owned scratch arena:
-// when s is non-nil, every per-call buffer (residual frame, syndrome lists,
+// failure together with the call's FrameStats. errProb gives the per-qubit
+// estimated single-graph error probability (see
+// surfacecode.NoiseModel.EdgeErrorProb).
+//
+// When reg is non-nil the stats are recorded under the decoder's name — a
+// "decoder.<name>.decodes" invocation counter, "decode_seconds",
+// "syndrome_weight" and "correction_weight" histograms, and a
+// "logical_failures" counter. A nil registry records nothing.
+//
+// When s is non-nil, every per-call buffer (residual frame, syndrome lists,
 // cluster growth and peeling state of ScratchDecoders) is reused from s, so
 // steady-state frame decoding allocates nothing. Result.Residual then
 // aliases the arena and is valid only until the next DecodeFrameWith with
-// the same Scratch. A nil Scratch is exactly DecodeFrameMetered; decoders
+// the same Scratch. A nil Scratch allocates fresh buffers per call; decoders
 // that do not implement ScratchDecoder fall back to Decode.
 func DecodeFrameWith(c *surfacecode.Code, dec Decoder, frame quantum.Frame, erased []bool, errProb []float64, reg *telemetry.Registry, s *Scratch) (Result, FrameStats, error) {
 	start := time.Now()

@@ -65,7 +65,7 @@ func TestSingleErrorsAlwaysCorrected(t *testing.T) {
 			for _, p := range []quantum.Pauli{quantum.X, quantum.Y, quantum.Z} {
 				f := quantum.NewFrame(c.NumData())
 				f[q] = p
-				res, err := DecodeFrame(c, dec, f, erased, probs)
+				res, _, err := DecodeFrameWith(c, dec, f, erased, probs, nil, nil)
 				if err != nil {
 					t.Fatalf("%s: qubit %d %v: %v", dec.Name(), q, p, err)
 				}
@@ -78,7 +78,7 @@ func TestSingleErrorsAlwaysCorrected(t *testing.T) {
 }
 
 func TestRandomErrorsAlwaysValid(t *testing.T) {
-	// Decoders must clear every syndrome (DecodeFrame errors otherwise)
+	// Decoders must clear every syndrome (DecodeFrameWith errors otherwise)
 	// on random Pauli+erasure inputs of varying rates and distances.
 	src := rng.New(808)
 	for _, d := range []int{2, 3, 4, 5, 7} {
@@ -90,7 +90,7 @@ func TestRandomErrorsAlwaysValid(t *testing.T) {
 				for trial := 0; trial < 12; trial++ {
 					f, erased := nm.Sample(src.SplitN("t", d*1000+trial))
 					for _, dec := range allDecoders {
-						if _, err := DecodeFrame(c, dec, f, erased, probs); err != nil {
+						if _, _, err := DecodeFrameWith(c, dec, f, erased, probs, nil, nil); err != nil {
 							t.Fatalf("%s d=%d p=%v e=%v trial %d: %v",
 								dec.Name(), d, p, e, trial, err)
 						}
@@ -273,7 +273,7 @@ func TestLogicalErrorRatesOrdering(t *testing.T) {
 		fails := 0
 		for i := 0; i < trials; i++ {
 			f, erased := nm.Sample(src.SplitN("trial", i))
-			res, err := DecodeFrame(c, dec, f, erased, probs)
+			res, _, err := DecodeFrameWith(c, dec, f, erased, probs, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -317,7 +317,7 @@ func TestSurfNetStepSizeConfigurable(t *testing.T) {
 		dec := SurfNet{StepSize: r}
 		for trial := 0; trial < 20; trial++ {
 			f, erased := nm.Sample(src.SplitN("t", trial))
-			if _, err := DecodeFrame(c, dec, f, erased, probs); err != nil {
+			if _, _, err := DecodeFrameWith(c, dec, f, erased, probs, nil, nil); err != nil {
 				t.Fatalf("step %v trial %d: %v", r, trial, err)
 			}
 		}

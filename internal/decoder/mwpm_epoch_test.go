@@ -33,7 +33,7 @@ func TestMWPMEpochCacheMatchesFreshDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := DecodeFrame(code, MWPM{}, frame, erased, probs)
+			want, _, err := DecodeFrameWith(code, MWPM{}, frame, erased, probs, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +97,7 @@ func TestMWPMEpochSkipsHashOnQuietFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := DecodeFrame(code, MWPM{}, frame, erased, probs)
+	want, _, err := DecodeFrameWith(code, MWPM{}, frame, erased, probs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestMWPMEpochErasureFingerprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := DecodeFrame(code, MWPM{}, frame, erased, probs)
+		want, _, err := DecodeFrameWith(code, MWPM{}, frame, erased, probs, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

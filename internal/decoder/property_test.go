@@ -11,7 +11,7 @@ import (
 
 // TestDecodersClearSyndromesQuick is the central decoder invariant as a
 // quick property: for any sampled error on any supported distance, every
-// decoder's correction clears every syndrome (DecodeFrame errors otherwise)
+// decoder's correction clears every syndrome (DecodeFrameWith errors otherwise)
 // and flips only valid data qubits.
 func TestDecodersClearSyndromesQuick(t *testing.T) {
 	codes := []*surfacecode.Code{
@@ -28,7 +28,7 @@ func TestDecodersClearSyndromesQuick(t *testing.T) {
 		probs := nm.EdgeErrorProb()
 		frame, erased := nm.Sample(src.Split("sample"))
 		for _, dec := range allDecoders {
-			res, err := DecodeFrame(c, dec, frame, erased, probs)
+			res, _, err := DecodeFrameWith(c, dec, frame, erased, probs, nil, nil)
 			if err != nil {
 				t.Logf("%s: %v", dec.Name(), err)
 				return false
@@ -118,7 +118,7 @@ func TestMWPMNeverWorseThanUF(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		frame, erased := nm.Sample(src.SplitN("t", i))
 		for _, dec := range []Decoder{MWPM{}, UnionFind{}} {
-			res, err := DecodeFrame(c, dec, frame, erased, probs)
+			res, _, err := DecodeFrameWith(c, dec, frame, erased, probs, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

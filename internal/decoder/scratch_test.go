@@ -54,7 +54,7 @@ func TestDecodeFrameWithMatchesAllocatingPath(t *testing.T) {
 			s := NewScratch()
 			for trial := 0; trial < 40; trial++ {
 				frame, erased := nm.Sample(src.SplitN("t", trial))
-				want, wantStats, err := DecodeFrameMetered(code, dec, frame, erased, probs, nil)
+				want, wantStats, err := DecodeFrameWith(code, dec, frame, erased, probs, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,7 +128,7 @@ func BenchmarkDecodeFrameAllocs(b *testing.B) {
 				src := rng.New(99)
 				for i := 0; i < b.N; i++ {
 					frame, erased := nm.Sample(src.SplitN("t", i))
-					if _, _, err := DecodeFrameMetered(code, dec, frame, erased, probs, nil); err != nil {
+					if _, _, err := DecodeFrameWith(code, dec, frame, erased, probs, nil, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

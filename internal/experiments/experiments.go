@@ -168,7 +168,7 @@ func runCell(cfg Config, spec trialSpec, label string) (Cell, error) {
 		if sched.AcceptedCodes() == 0 {
 			return out, nil // no executions to measure
 		}
-		res, err := core.Run(net, sched, cfg.Engine, src.Split("run"))
+		res, err := execute(net, sched, cfg.Engine, src.Split("run"))
 		if err != nil {
 			return trialOutcome{}, fmt.Errorf("experiments: executing %v: %w", spec.design, err)
 		}
@@ -235,4 +235,16 @@ func schedule(net *network.Network, reqs []network.Request, p routing.Params, us
 		return routing.ScheduleLP(net, reqs, p)
 	}
 	return routing.Greedy(net, reqs, p, nil, nil)
+}
+
+// execute runs one trial's schedule serially on a fresh engine over the
+// trial's network. The trial is the pool's unit of work, so the codes run on
+// one worker under context.Background(): the cell's context carries its
+// progress reporter, which must count trials, not codes.
+func execute(net *network.Network, sched routing.Schedule, cfg core.Config, src *rng.Source) (core.RunResult, error) {
+	eng, err := core.NewEngine(net, cfg)
+	if err != nil {
+		return core.RunResult{}, err
+	}
+	return eng.ExecuteParallel(context.Background(), sched, src, 1)
 }

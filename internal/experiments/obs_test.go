@@ -106,26 +106,32 @@ func TestFig6aInvariantUnderFullObservability(t *testing.T) {
 }
 
 // TestRunCellReportsProgressLabels checks the /status cell labels carry the
-// figure/design naming the CLIs print.
+// figure/design naming the CLIs print, and that every network cell reports
+// exactly its trials: the codes a trial executes run outside the cell's
+// progress context, so /status never counts them as trials, at any worker
+// count.
 func TestRunCellReportsProgressLabels(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Trials = 2
-	cfg.Progress = obs.NewTracker()
-	if _, err := Fig6a(cfg); err != nil {
-		t.Fatal(err)
-	}
-	st := cfg.Progress.Status()
-	found := false
-	for _, c := range st.Cells {
-		if strings.HasPrefix(c.Label, "fig6a/") {
-			found = true
+	for _, w := range []int{1, 4} {
+		cfg := tinyConfig()
+		cfg.Trials = 2
+		cfg.Workers = w
+		cfg.Progress = obs.NewTracker()
+		if _, err := Fig6a(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Resilience(cfg, []float64{4}); err != nil {
+			t.Fatal(err)
+		}
+		families := map[string]bool{}
+		for _, c := range cfg.Progress.Status().Cells {
+			families[strings.SplitN(c.Label, "/", 2)[0]] = true
 			if c.Done != int64(cfg.Trials) || c.Total != int64(cfg.Trials) {
-				t.Fatalf("cell %+v, want %d/%d trials", c, cfg.Trials, cfg.Trials)
+				t.Fatalf("workers=%d: cell %+v, want %d/%d trials", w, c, cfg.Trials, cfg.Trials)
 			}
 		}
-	}
-	if !found {
-		t.Fatalf("no fig6a/ cell labels in %+v", st.Cells)
+		if !families["fig6a"] || !families["resilience"] {
+			t.Fatalf("workers=%d: cell label families %v, want fig6a and resilience", w, families)
+		}
 	}
 }
 

@@ -152,7 +152,7 @@ func runResilienceCell(cfg Config, engine core.Config, spec trialSpec, label str
 			if sched.AcceptedCodes() == 0 {
 				return out, nil // no executions to measure
 			}
-			res, err := core.Run(net, sched, engine, src.Split("run"))
+			res, err := execute(net, sched, engine, src.Split("run"))
 			if err != nil {
 				return resilienceOutcome{}, fmt.Errorf("experiments: executing %v: %w", spec.design, err)
 			}

@@ -4,8 +4,7 @@
 // claim is exactly about staying alive under failures; this package widens
 // the model into composable fault scenarios the engine consults every slot:
 //
-//   - stochastic fiber crashes (the paper's model, and the implementation
-//     behind the engine's legacy FiberFailProb/RepairSlots fields),
+//   - stochastic fiber crashes (the paper's model),
 //   - node/server outages (a down server cannot perform its scheduled error
 //     correction),
 //   - correlated regional failures (every fiber at a struck node goes down

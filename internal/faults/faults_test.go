@@ -260,6 +260,7 @@ func TestProfileBuildAndValidate(t *testing.T) {
 		{DriftProb: 0.1, DriftDecay: 1.5},
 		{Script: []ScriptedFault{{Slot: -1}}},
 		{Script: []ScriptedFault{{Duration: -1}}},
+		{Script: []ScriptedFault{{Slot: math.MaxInt, Duration: 1}}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -317,5 +318,54 @@ func TestComposedProfileDeterministic(t *testing.T) {
 	}
 	if len(ev1) == 0 {
 		t.Fatal("composed profile produced no events in 60 slots")
+	}
+}
+
+// TestLongOutagesSaturate pins that an outage whose end slot would overflow
+// int stays in force instead of wrapping to an end before its start. The
+// script passes Validate, and the stochastic scenarios accept any
+// non-negative repair time.
+func TestLongOutagesSaturate(t *testing.T) {
+	net := testNet(t)
+	script, err := ParseScript("2:fiber:0:9223372036854775807,2:node:2:9223372036854775807")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (Profile{Script: script}).ValidateAgainst(net); err != nil {
+		t.Fatal(err)
+	}
+	fiberDown := func(inj Injector) bool { return inj.FiberDown(0) }
+	nodeDown := func(inj Injector) bool { return inj.NodeDown(2) }
+	drifting := func(inj Injector) bool { return inj.Gamma(0, 0.95) < 0.95 }
+	cases := []struct {
+		name string
+		inj  Injector
+		hit  func(Injector) bool
+	}{
+		{"scripted fiber", NewScripted(script), fiberDown},
+		{"scripted node", NewScripted(script), nodeDown},
+		{"fiber crash", NewFiberCrashes(1, math.MaxInt), fiberDown},
+		{"node outage", NewNodeOutages(1, math.MaxInt), nodeDown},
+		{"regional", NewRegional(net, 1, math.MaxInt), fiberDown},
+		{"drift", NewDrift(1, math.MaxInt, 0.9), drifting},
+	}
+	for _, tc := range cases {
+		var untils []int
+		for _, slot := range []int{2, 3, 1000} {
+			tc.inj.Step(Scope{
+				Slot:   slot,
+				Src:    rng.New(1),
+				Fibers: func(visit func(fi int)) { visit(0) },
+				Nodes:  func(visit func(v int)) { visit(2) },
+			}, func(ev Event) { untils = append(untils, ev.Until) })
+			if !tc.hit(tc.inj) {
+				t.Fatalf("%s: outage over at slot %d", tc.name, slot)
+			}
+		}
+		for _, u := range untils {
+			if u != math.MaxInt {
+				t.Fatalf("%s: event until %d, want math.MaxInt", tc.name, u)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"surfnet/internal/network"
 )
@@ -15,8 +16,7 @@ var ErrProfile = errors.New("faults: invalid profile")
 // nothing. Build compiles it into the live Injector for one transfer.
 type Profile struct {
 	// FiberCrashProb is the per-slot probability that an in-play fiber
-	// crashes (the paper's §V-B model; the engine folds its legacy
-	// FiberFailProb field into this when the profile leaves it zero).
+	// crashes (the paper's §V-B model).
 	FiberCrashProb float64
 	// FiberRepairSlots is how long a crashed fiber stays down.
 	FiberRepairSlots int
@@ -113,7 +113,10 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("%w: drift decay %v outside [0,1]", ErrProfile, p.DriftDecay)
 	}
 	for i, ev := range p.Script {
-		if ev.Slot < 0 || ev.Duration < 0 || ev.ID < 0 {
+		// An outage covers slots [Slot, Slot+Duration) with the end
+		// saturating at math.MaxInt, so an event at math.MaxInt itself
+		// could never take effect.
+		if ev.Slot < 0 || ev.Slot == math.MaxInt || ev.Duration < 0 || ev.ID < 0 {
 			return fmt.Errorf("%w: script event %d (slot %d, duration %d, id %d)",
 				ErrProfile, i, ev.Slot, ev.Duration, ev.ID)
 		}

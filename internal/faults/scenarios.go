@@ -7,11 +7,21 @@ import (
 	"surfnet/internal/network"
 )
 
+// endSlot returns the slot an outage starting at slot and lasting duration
+// slots ends at, saturating at math.MaxInt. Both arguments are
+// non-negative, but durations arrive from outside the program (fault scripts
+// and repair slots on the CLI and the admin API), and a wrapped sum would end
+// the outage before it began.
+func endSlot(slot, duration int) int {
+	if duration > math.MaxInt-slot {
+		return math.MaxInt
+	}
+	return slot + duration
+}
+
 // fiberCrashes is the paper's §V-B failure model: each in-scope fiber
 // crashes independently per slot and stays down for a fixed repair time.
-// Its Step consumes randomness in exactly the order the engine's legacy
-// FiberFailProb path did — one draw per up fiber in enumeration order —
-// so pre-injector configs reproduce byte-identically through it.
+// Its Step consumes one draw per up fiber, in enumeration order.
 type fiberCrashes struct {
 	prob      float64
 	repair    int
@@ -42,7 +52,7 @@ func (c *fiberCrashes) Step(sc Scope, emit func(Event)) {
 			send(emit, Event{Kind: FiberRepair, Slot: sc.Slot, ID: fi})
 		}
 		if sc.Src.Bool(c.prob) {
-			until := sc.Slot + c.repair
+			until := endSlot(sc.Slot, c.repair)
 			c.downUntil[fi] = until
 			send(emit, Event{Kind: FiberCrash, Slot: sc.Slot, ID: fi, Until: until})
 		}
@@ -91,7 +101,7 @@ func (c *nodeOutages) Step(sc Scope, emit func(Event)) {
 			send(emit, Event{Kind: NodeRepair, Slot: sc.Slot, ID: v})
 		}
 		if sc.Src.Bool(c.prob) {
-			until := sc.Slot + c.repair
+			until := endSlot(sc.Slot, c.repair)
 			c.downUntil[v] = until
 			send(emit, Event{Kind: NodeCrash, Slot: sc.Slot, ID: v, Until: until})
 		}
@@ -153,7 +163,7 @@ func (c *regional) Step(sc Scope, emit func(Event)) {
 				send(emit, Event{Kind: RegionRepair, Slot: sc.Slot, ID: v})
 			}
 			if sc.Src.Bool(c.prob) {
-				until := sc.Slot + c.repair
+				until := endSlot(sc.Slot, c.repair)
 				c.nodeUntil[v] = until
 				for _, inc := range c.net.Incident(v) {
 					if c.fiberUntil[int(inc)] < until {
@@ -203,7 +213,7 @@ func (c *drift) Step(sc Scope, emit func(Event)) {
 	}
 	sc.Fibers(func(fi int) {
 		if start, ok := c.episodes[fi]; ok {
-			if sc.Slot < start+c.window {
+			if sc.Slot < endSlot(start, c.window) {
 				return // drifting fibers stay afflicted; no new draw
 			}
 			delete(c.episodes, fi)
@@ -211,7 +221,7 @@ func (c *drift) Step(sc Scope, emit func(Event)) {
 		}
 		if sc.Src.Bool(c.prob) {
 			c.episodes[fi] = sc.Slot
-			send(emit, Event{Kind: DriftStart, Slot: sc.Slot, ID: fi, Until: sc.Slot + c.window})
+			send(emit, Event{Kind: DriftStart, Slot: sc.Slot, ID: fi, Until: endSlot(sc.Slot, c.window)})
 		}
 	})
 }
@@ -222,7 +232,7 @@ func (c *drift) NodeDown(int) bool { return false }
 
 func (c *drift) Gamma(fi int, gamma float64) float64 {
 	start, ok := c.episodes[fi]
-	if !ok || c.slot >= start+c.window {
+	if !ok || c.slot >= endSlot(start, c.window) {
 		return gamma
 	}
 	return gamma * math.Pow(c.decay, float64(c.slot-start+1))
@@ -271,7 +281,7 @@ func (c *scripted) Step(sc Scope, emit func(Event)) {
 	for c.next < len(c.events) && c.events[c.next].Slot <= sc.Slot {
 		ev := c.events[c.next]
 		c.next++
-		until := ev.Slot + ev.Duration
+		until := endSlot(ev.Slot, ev.Duration)
 		if ev.Node {
 			if c.nodeUntil[ev.ID] < until {
 				c.nodeUntil[ev.ID] = until

@@ -903,21 +903,17 @@ func (s *Service) degradedEpoch() {
 }
 
 // execute runs one epoch's schedule under the live fault overlay merged with
-// the engine's own fault scenario. Without any faults in play it takes the
-// plain parallel path, byte-identical to the pre-fault-plane service.
+// the engine's own fault scenario. A faultless merge builds no injector, so
+// the faultless path is byte-identical to the pre-fault-plane service.
 func (s *Service) execute(ctx context.Context, sched routing.Schedule, epoch int64, overlay FaultState) (core.RunResult, error) {
-	src := s.src.SplitN("epoch", int(epoch))
 	var p faults.Profile
-	if base := s.eng.Config().FaultScenario(); base != nil {
+	if base := s.eng.Config().Faults; base != nil {
 		p = *base
 	}
 	p.DownFibers = overlay.DownFibers
 	p.DownNodes = overlay.DownNodes
 	p.GammaScale = overlay.GammaScale
-	if !p.Enabled() {
-		return s.eng.ExecuteParallel(ctx, sched, src, s.cfg.Workers)
-	}
-	return s.eng.ExecuteParallelFaults(ctx, sched, src, s.cfg.Workers, &p)
+	return s.eng.ExecuteParallelFaults(ctx, sched, s.src.SplitN("epoch", int(epoch)), s.cfg.Workers, &p)
 }
 
 // promoteRetriesLocked moves due retries (backoff elapsed, or any retry when

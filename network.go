@@ -1,6 +1,8 @@
 package surfnet
 
 import (
+	"context"
+
 	"surfnet/internal/core"
 	"surfnet/internal/faults"
 	"surfnet/internal/network"
@@ -117,7 +119,11 @@ type Outcome = core.Outcome
 // Execute runs every scheduled code through the online execution engine and
 // reports per-communication outcomes (fidelity, latency, corrections).
 func Execute(net *Network, sched Schedule, cfg EngineConfig, src *Rand) (RunResult, error) {
-	return core.Run(net, sched, cfg, src)
+	eng, err := core.NewEngine(net, cfg)
+	if err != nil {
+		return RunResult{}, err
+	}
+	return eng.ExecuteParallel(context.Background(), sched, src, 1)
 }
 
 // RoundConfig drives continuous operation: per-round request arrival,

@@ -85,7 +85,8 @@ func NewMWPMDecoder() Decoder { return decoder.MWPM{} }
 // per-qubit single-graph error probability the decoder should assume (use
 // NoiseModel.EdgeErrorProb for channel-matched priors).
 func Decode(c *Code, dec Decoder, frame Frame, erased []bool, errProb []float64) (DecodeResult, error) {
-	return decoder.DecodeFrame(c, dec, frame, erased, errProb)
+	res, _, err := decoder.DecodeFrameWith(c, dec, frame, erased, errProb, nil, nil)
+	return res, err
 }
 
 // Pauli is a single-qubit Pauli operator.

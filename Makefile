@@ -33,9 +33,10 @@ check: vet race surfbench-check
 # MWPMDecode covers the dense-vs-scratch sparse decode comparison;
 # DecodeWallLatency adds the wall-latency percentile families (p50/p99/p999);
 # BatchSample/BatchDecode ratchet the packed 64-lane engine's ns/trial against
-# the scalar pipeline.
+# the scalar pipeline; ScheduleLP and PlannerEpochs are the planning layer
+# (one cold LP schedule, and the daemon's new-request-set-per-epoch re-plans).
 bench-json:
-	$(GO) test -run '^$$' -bench 'SurfNetDecoder|UnionFindDecoder|MWPMDecoder|MWPMDecode/|DecodeFrameAllocs|RunOverhead|DecodeWallLatency|BatchSample|BatchDecode' \
+	$(GO) test -run '^$$' -bench 'SurfNetDecoder|UnionFindDecoder|MWPMDecoder|MWPMDecode/|DecodeFrameAllocs|RunOverhead|DecodeWallLatency|BatchSample|BatchDecode|ScheduleLP|PlannerEpochs' \
 		-benchmem -benchtime $(BENCHTIME) ./... | $(GO) run ./cmd/benchjson -out BENCH_decoder.json
 
 # Fast end-to-end check that the benchmark trajectory stays machine-readable:

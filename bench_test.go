@@ -15,9 +15,12 @@ import (
 	"surfnet/internal/batch"
 	"surfnet/internal/decoder"
 	"surfnet/internal/matching"
+	"surfnet/internal/network"
 	"surfnet/internal/rng"
+	"surfnet/internal/routing"
 	"surfnet/internal/surfacecode"
 	"surfnet/internal/telemetry"
+	"surfnet/internal/topology"
 )
 
 // benchExperiments returns a one-trial experiment configuration sized for a
@@ -340,6 +343,31 @@ func BenchmarkScheduleLP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := surfnet.ScheduleRoutes(net, reqs, params); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlannerEpochs measures the resident daemon's planning pattern:
+// one Planner scheduling a new K=8 request set every epoch (the daemon's
+// largest epoch batch) on the abundant/good network of net seed 1, cycling
+// over 8 distinct sets. One op is one epoch's Plan.
+func BenchmarkPlannerEpochs(b *testing.B) {
+	net, err := topology.Generate(topology.DefaultParams(topology.Abundant, topology.GoodConnection), rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := rng.New(2)
+	epochs := make([][]network.Request, 8)
+	for i := range epochs {
+		if epochs[i], err = topology.GenRequests(net, 8, 2, src.SplitN("epoch", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pl := routing.NewPlanner(routing.DefaultParams(routing.SurfNet))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pl.Plan(net, epochs[i%len(epochs)]); err != nil {
 			b.Fatal(err)
 		}
 	}

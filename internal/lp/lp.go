@@ -1,10 +1,17 @@
-// Package lp provides a self-contained linear-programming solver: a dense
-// two-phase primal simplex with Bland anti-cycling.
+// Package lp provides a self-contained linear-programming solver: a
+// two-phase primal tableau simplex with Bland anti-cycling.
 //
 // The routing protocol of §V formulates scheduling as an integer program and
 // evaluates "a relaxed Linear Programming version with rounding"; this solver
 // is the substrate for that relaxation. Problems are stated over non-negative
-// variables with sparse <=, =, >= constraints and a linear objective.
+// variables with sparse <=, =, >= constraints and a linear objective. The
+// tableau is stored dense and built straight from the sparse terms; each
+// Gauss-Jordan pivot eliminates only over the nonzero columns of its pivot
+// row, which the routing LP's mostly-zero rows make a small fraction of the
+// width, and the periodic exact reduced-cost recomputation sums only the rows
+// whose basic variable has a cost. The results are bit-identical to dense
+// arithmetic (up to the sign of exact zeros); the tests keep the dense
+// construction and pivot as an oracle.
 package lp
 
 import (
@@ -127,17 +134,21 @@ func (s Status) String() string {
 	}
 }
 
-// Stats counts the work a solve performed; the routing layer exports them
-// as scheduler telemetry and routesolve prints them.
+// Stats counts the work a solve call performed; the routing layer exports
+// them as scheduler telemetry and routesolve prints them. They are reported
+// on every outcome, ErrIterationLimit included.
 type Stats struct {
-	// Pivots is the total number of Gauss-Jordan pivots across both
-	// phases (including basis-repair pivots between phases).
+	// Pivots is the total number of Gauss-Jordan pivots the call performed:
+	// both phases, the basis-repair pivots between them and, when SolveFrom
+	// falls back to a cold solve, the installation pivots it discarded.
 	Pivots int
-	// Phase1Pivots is the pivot count attributable to phase 1.
+	// Phase1Pivots is the pivot count attributable to phase 1 (the basis
+	// installation on a warm start; excluding discarded pivots on a
+	// fallback).
 	Phase1Pivots int
 	// Iterations is the number of simplex iterations (entering-column
-	// selections), which exceeds Pivots only on the final optimality
-	// check of each phase.
+	// selections) in the two phases; each phase's final optimality check is
+	// an iteration without a pivot.
 	Iterations int
 	// DegeneratePivots counts pivots with a (near-)zero ratio step.
 	DegeneratePivots int
@@ -195,31 +206,66 @@ const (
 
 // Solve runs two-phase primal simplex. An Infeasible or Unbounded status is
 // reported in the Solution, not as an error; errors indicate solver failure.
+// On ErrIterationLimit the Solution still carries the effort Stats.
 func (p *Problem) Solve() (Solution, error) {
-	s, artStart, feasScale, nArt := p.tableau()
-	m := len(p.constraints)
+	return p.solve(nil, p.tableau)
+}
+
+// SolveFrom runs simplex warm-started from a previous Optimal solution's
+// Basis: the basis is installed by Gauss-Jordan pivots and, when the
+// resulting vertex is primal-feasible, phase 1 is skipped entirely — the
+// re-plan path for a resident control plane re-solving the same requests
+// after small topology or demand deltas. Whenever the basis cannot be
+// installed (shape mismatch, singular or artificial columns) or the vertex is
+// infeasible for the new right-hand side, it falls back to a cold Solve, so
+// SolveFrom never sacrifices correctness for speed; the Stats of a fallback
+// include the installation pivots it discarded. A nil basis is exactly Solve.
+func (p *Problem) SolveFrom(basis []int) (Solution, error) {
+	return p.solve(basis, p.tableau)
+}
+
+// solve is SolveFrom over tableaus made by build, which tests replace with
+// the dense reference construction.
+func (p *Problem) solve(basis []int, build func() *simplex) (Solution, error) {
+	discarded := 0
+	if len(basis) == len(p.constraints) && len(basis) > 0 {
+		s := build()
+		if s.install(basis) && s.clampFeasible() {
+			s.stats.WarmStarted = true
+			s.stats.Phase1Pivots = s.stats.Pivots
+			return p.phase2(s)
+		}
+		discarded = s.stats.Pivots
+	}
+	sol, err := p.cold(build())
+	sol.Stats.Pivots += discarded
+	return sol, err
+}
+
+// cold runs both simplex phases from the slack/artificial starting basis.
+func (p *Problem) cold(s *simplex) (Solution, error) {
 	// Phase 1: minimize the sum of artificial variables.
-	if nArt > 0 {
+	if s.artStart < s.total {
 		obj := make([]float64, s.total)
-		for j := artStart; j < s.total; j++ {
+		for j := s.artStart; j < s.total; j++ {
 			obj[j] = -1 // maximize -(sum of artificials)
 		}
-		val, err := s.optimize(obj, artStart)
+		val, err := s.optimize(obj, s.artStart)
+		s.stats.Phase1Pivots = s.stats.Pivots
 		if err != nil {
-			return Solution{}, fmt.Errorf("phase 1: %w", err)
+			return Solution{Stats: s.stats}, fmt.Errorf("phase 1: %w", err)
 		}
-		if val < -feasRelTol*feasScale {
-			s.stats.Phase1Pivots = s.stats.Pivots
+		if val < -feasRelTol*s.feasScale {
 			return Solution{Status: Infeasible, Stats: s.stats}, nil
 		}
 		// Drive any artificial still in the basis out (degenerate rows)
 		// or drop the row if it is all zeros.
-		for i := 0; i < m; i++ {
-			if s.basis[i] < artStart {
+		for i := range s.t {
+			if s.basis[i] < s.artStart {
 				continue
 			}
 			pivoted := false
-			for j := 0; j < artStart; j++ {
+			for j := 0; j < s.artStart; j++ {
 				if math.Abs(s.t[i][j]) > pivotEps {
 					s.pivot(i, j)
 					pivoted = true
@@ -228,47 +274,12 @@ func (p *Problem) Solve() (Solution, error) {
 			}
 			if !pivoted {
 				// Redundant row; zero it so it never constrains.
-				for j := range s.t[i] {
-					s.t[i][j] = 0
-				}
+				clear(s.t[i])
 			}
 		}
 	}
 	s.stats.Phase1Pivots = s.stats.Pivots
-	return p.phase2(s, artStart)
-}
-
-// SolveFrom runs simplex warm-started from a previous Optimal solution's
-// Basis: the basis is installed by Gauss-Jordan pivots and, when the
-// resulting vertex is primal-feasible, phase 1 is skipped entirely — the
-// incremental re-plan path for a resident control plane re-solving a routing
-// LP after small topology or demand deltas. Whenever the basis cannot be
-// installed (shape mismatch, singular or artificial columns) or the vertex is
-// infeasible for the new right-hand side, it falls back to a cold Solve, so
-// SolveFrom never sacrifices correctness for speed. A nil basis is exactly
-// Solve.
-func (p *Problem) SolveFrom(basis []int) (Solution, error) {
-	if len(basis) != len(p.constraints) || len(basis) == 0 {
-		return p.Solve()
-	}
-	s, artStart, feasScale, _ := p.tableau()
-	if !s.install(basis, artStart) {
-		return p.Solve()
-	}
-	// The installed vertex must be primal-feasible for the new RHS;
-	// tolerate (and clamp) elimination roundoff at the feasibility scale.
-	for i := range s.t {
-		rhs := s.t[i][s.total]
-		if rhs < -feasRelTol*feasScale {
-			return p.Solve()
-		}
-		if rhs < 0 {
-			s.t[i][s.total] = 0
-		}
-	}
-	s.stats.WarmStarted = true
-	s.stats.Phase1Pivots = s.stats.Pivots
-	return p.phase2(s, artStart)
+	return p.phase2(s)
 }
 
 // install pivots the canonical tableau onto the given basis, assigning each
@@ -276,11 +287,11 @@ func (p *Problem) SolveFrom(basis []int) (Solution, error) {
 // pivoting). It reports false — leaving the caller to fall back to a cold
 // solve — when a column is out of range, artificial, duplicated, or the
 // basis matrix is numerically singular.
-func (s *simplex) install(basis []int, artStart int) bool {
+func (s *simplex) install(basis []int) bool {
 	m := len(s.t)
 	used := make([]bool, m)
 	for _, b := range basis {
-		if b < 0 || b >= artStart {
+		if b < 0 || b >= s.artStart {
 			return false
 		}
 		row, best := -1, pivotEps
@@ -301,92 +312,97 @@ func (s *simplex) install(basis []int, artStart int) bool {
 	return true
 }
 
-// tableau builds the canonical simplex tableau: slack/surplus and artificial
-// columns appended after the structural variables, rows normalized to
-// non-negative RHS, slacks/artificials forming the starting basis.
-func (p *Problem) tableau() (s *simplex, artStart int, feasScale float64, nArt int) {
+// clampFeasible reports whether the installed vertex is primal-feasible for
+// the right-hand side, clamping elimination roundoff below the feasibility
+// scale to zero.
+func (s *simplex) clampFeasible() bool {
+	for _, r := range s.t {
+		rhs := r[s.total]
+		if rhs < -feasRelTol*s.feasScale {
+			return false
+		}
+		if rhs < 0 {
+			r[s.total] = 0
+		}
+	}
+	return true
+}
+
+// tableau builds the canonical simplex tableau straight from the sparse
+// constraint terms: slack/surplus and artificial columns appended after the
+// structural variables, rows normalized to non-negative RHS, slacks and
+// artificials forming the starting basis.
+func (p *Problem) tableau() *simplex {
 	m := len(p.constraints)
 	n := p.numVars
-	// Column layout: [structural | slack/surplus | artificial], built row
-	// by row with b >= 0.
-	type rowInfo struct {
-		coeffs []float64
-		rhs    float64
-		sense  Sense
-	}
-	rows := make([]rowInfo, m)
-	for i, c := range p.constraints {
-		r := rowInfo{coeffs: make([]float64, n), rhs: c.RHS, sense: c.Sense}
-		for _, t := range c.Terms {
-			r.coeffs[t.Var] += t.Coeff
-		}
-		if r.rhs < 0 {
-			for j := range r.coeffs {
-				r.coeffs[j] = -r.coeffs[j]
-			}
-			r.rhs = -r.rhs
-			switch r.sense {
-			case LessEq:
-				r.sense = GreaterEq
-			case GreaterEq:
-				r.sense = LessEq
-			}
-		}
-		rows[i] = r
-	}
-	// Count slack and artificial columns, and record the feasibility scale
-	// (rows are normalized to rhs >= 0 above).
-	nSlack := 0
-	feasScale = 1.0
-	for _, r := range rows {
-		if r.rhs > feasScale {
-			feasScale = r.rhs
-		}
-		switch r.sense {
-		case LessEq:
+	// Column layout: [structural | slack/surplus | artificial]. Count the
+	// slack and artificial columns and record the feasibility scale over
+	// the normalized (rhs >= 0) rows.
+	nSlack, nArt := 0, 0
+	feasScale := 1.0
+	for _, c := range p.constraints {
+		rhs, sense := normalized(c)
+		feasScale = max(feasScale, rhs)
+		if sense != Equal {
 			nSlack++
-		case GreaterEq:
-			nSlack++
-			nArt++
-		case Equal:
+		}
+		if sense != LessEq {
 			nArt++
 		}
 	}
-	total := n + nSlack + nArt
-	// Tableau: m rows x (total+1) columns, last column RHS.
-	t := make([][]float64, m)
-	basis := make([]int, m)
+	s := newSimplex(m, n+nSlack+nArt, n+nSlack, feasScale)
 	slackCol, artCol := n, n+nSlack
-	artStart = n + nSlack
-	for i, r := range rows {
-		t[i] = make([]float64, total+1)
-		copy(t[i], r.coeffs)
-		t[i][total] = r.rhs
-		switch r.sense {
+	for i, c := range p.constraints {
+		row := s.t[i]
+		for _, t := range c.Terms {
+			row[t.Var] += t.Coeff
+		}
+		rhs, sense := normalized(c)
+		if c.RHS < 0 {
+			for j := range row[:n] {
+				row[j] = -row[j]
+			}
+		}
+		row[s.total] = rhs
+		switch sense {
 		case LessEq:
-			t[i][slackCol] = 1
-			basis[i] = slackCol
+			row[slackCol] = 1
+			s.basis[i] = slackCol
 			slackCol++
 		case GreaterEq:
-			t[i][slackCol] = -1
+			row[slackCol] = -1
 			slackCol++
-			t[i][artCol] = 1
-			basis[i] = artCol
+			row[artCol] = 1
+			s.basis[i] = artCol
 			artCol++
 		case Equal:
-			t[i][artCol] = 1
-			basis[i] = artCol
+			row[artCol] = 1
+			s.basis[i] = artCol
 			artCol++
 		}
 	}
+	return s
+}
 
-	return &simplex{t: t, basis: basis, total: total}, artStart, feasScale, nArt
+// normalized returns c's right-hand side and sense after the row is negated
+// to make the right-hand side non-negative.
+func normalized(c Constraint) (float64, Sense) {
+	if c.RHS >= 0 {
+		return c.RHS, c.Sense
+	}
+	switch c.Sense {
+	case LessEq:
+		return -c.RHS, GreaterEq
+	case GreaterEq:
+		return -c.RHS, LessEq
+	}
+	return -c.RHS, Equal
 }
 
 // phase2 maximizes the real objective over structural columns only from the
 // current (feasible) basis, then extracts the solution. Artificials are
 // frozen at zero by restricting entering columns below artStart.
-func (p *Problem) phase2(s *simplex, artStart int) (Solution, error) {
+func (p *Problem) phase2(s *simplex) (Solution, error) {
 	n := p.numVars
 	total := s.total
 	obj := make([]float64, total)
@@ -397,12 +413,12 @@ func (p *Problem) phase2(s *simplex, artStart int) (Solution, error) {
 			obj[j] = -p.objective[j]
 		}
 	}
-	val, err := s.optimize(obj, artStart)
+	val, err := s.optimize(obj, s.artStart)
 	if err != nil {
 		if errors.Is(err, errUnbounded) {
 			return Solution{Status: Unbounded, Stats: s.stats}, nil
 		}
-		return Solution{}, fmt.Errorf("phase 2: %w", err)
+		return Solution{Stats: s.stats}, fmt.Errorf("phase 2: %w", err)
 	}
 	x := make([]float64, n)
 	for i, b := range s.basis {
@@ -423,31 +439,60 @@ var errUnbounded = errors.New("lp: unbounded")
 
 // simplex is the shared tableau state across the two phases.
 type simplex struct {
-	t     [][]float64
+	t     [][]float64 // m rows x (total+1) columns, the last one the RHS
 	basis []int
 	total int
-	stats Stats
+	// artStart is the first artificial column; artificials never re-enter.
+	artStart int
+	// feasScale is max(1, max|RHS|), the scale of the phase-1 feasibility
+	// test.
+	feasScale float64
+	stats     Stats
+	// nz lists the nonzero columns of the last pivot row.
+	nz []int
+	// pivot is sparsePivot; the tests swap in the dense reference pivot.
+	pivot func(row, col int)
 }
 
-// pivot performs a Gauss-Jordan pivot on (row, col).
-func (s *simplex) pivot(row, col int) {
+// newSimplex allocates a zero tableau of m rows over total columns plus the
+// RHS, backed by one contiguous block.
+func newSimplex(m, total, artStart int, feasScale float64) *simplex {
+	w := total + 1
+	buf := make([]float64, m*w)
+	t := make([][]float64, m)
+	for i := range t {
+		t[i] = buf[i*w : (i+1)*w : (i+1)*w]
+	}
+	s := &simplex{t: t, basis: make([]int, m), total: total, artStart: artStart,
+		feasScale: feasScale, nz: make([]int, 0, w)}
+	s.pivot = s.sparsePivot
+	return s
+}
+
+// sparsePivot performs a Gauss-Jordan pivot on (row, col), eliminating only
+// over the nonzero columns of the scaled pivot row. Every nonzero entry sees
+// the same arithmetic as a dense elimination, so pivot choices and results
+// are bit-identical to it; only the sign of an exact zero may differ.
+func (s *simplex) sparsePivot(row, col int) {
 	pr := s.t[row]
-	pv := pr[col]
-	inv := 1 / pv
-	for j := range pr {
-		pr[j] *= inv
+	inv := 1 / pr[col]
+	s.nz = s.nz[:0]
+	for j, v := range pr {
+		if v != 0 {
+			pr[j] = v * inv
+			s.nz = append(s.nz, j)
+		}
 	}
 	pr[col] = 1 // exact
-	for i := range s.t {
+	for i, ri := range s.t {
 		if i == row {
 			continue
 		}
-		f := s.t[i][col]
+		f := ri[col]
 		if f == 0 {
 			continue
 		}
-		ri := s.t[i]
-		for j := range ri {
+		for _, j := range s.nz {
 			ri[j] -= f * pr[j]
 		}
 		ri[col] = 0 // exact
@@ -461,24 +506,10 @@ func (s *simplex) pivot(row, col int) {
 func (s *simplex) optimize(obj []float64, colLimit int) (float64, error) {
 	m := len(s.t)
 	total := s.total
-	// Reduced costs are computed directly: z_j - c_j = sum over basis of
-	// c_B * t[., j] - c_j. Maintain them incrementally via an explicit
-	// objective row for efficiency.
+	// Reduced costs z_j - c_j are maintained incrementally in an explicit
+	// objective row, recomputed exactly at the start and periodically.
 	z := make([]float64, total+1)
-	refresh := func() {
-		s.stats.Refreshes++
-		for j := 0; j <= total; j++ {
-			var v float64
-			if j < total {
-				v = -objAt(obj, j)
-			}
-			for i := 0; i < m; i++ {
-				v += objAt(obj, s.basis[i]) * s.t[i][j]
-			}
-			z[j] = v
-		}
-	}
-	refresh()
+	s.reducedCosts(obj, z)
 	degenerate := 0
 	maxIters := 30*(m+total) + 10000
 	for iter := 0; iter < maxIters; iter++ {
@@ -487,7 +518,7 @@ func (s *simplex) optimize(obj []float64, colLimit int) (float64, error) {
 			// Incremental updates drift; periodically recompute the
 			// reduced costs exactly so tiny phantom negatives cannot
 			// sustain degenerate cycling.
-			refresh()
+			s.reducedCosts(obj, z)
 		}
 		// Entering column.
 		col := -1
@@ -539,13 +570,34 @@ func (s *simplex) optimize(obj []float64, colLimit int) (float64, error) {
 		f := z[col]
 		if f != 0 {
 			pr := s.t[row]
-			for j := 0; j <= total; j++ {
+			for _, j := range s.nz {
 				z[j] -= f * pr[j]
 			}
 			z[col] = 0
 		}
 	}
 	return 0, ErrIterationLimit
+}
+
+// reducedCosts recomputes the objective row exactly: z_j = sum over rows of
+// c_B(i) * t[i][j] - c_j, and z[total] the objective value. It sums row by
+// row, skipping rows whose basic variable has zero cost (most slacks), so each
+// z_j adds the same nonzero terms in the same order as a dense column sum.
+func (s *simplex) reducedCosts(obj, z []float64) {
+	s.stats.Refreshes++
+	for j := range z[:s.total] {
+		z[j] = -objAt(obj, j)
+	}
+	z[s.total] = 0
+	for i, row := range s.t {
+		cb := objAt(obj, s.basis[i])
+		if cb == 0 {
+			continue
+		}
+		for j, v := range row {
+			z[j] += cb * v
+		}
+	}
 }
 
 // objAt treats obj as padded with zeros beyond its length.

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -352,5 +353,30 @@ func mustAdd(t *testing.T, p *Problem, c Constraint) {
 	t.Helper()
 	if err := p.AddConstraint(c); err != nil {
 		t.Fatalf("AddConstraint: %v", err)
+	}
+}
+
+// TestIterationLimitReportsStats pins that a solve exhausting its iteration
+// budget still reports its effort. Dantzig's rule takes 2^n - 1 pivots on the
+// Klee–Minty cube; at n = 14 that exceeds the 30*(m+total)+10000 budget.
+func TestIterationLimitReportsStats(t *testing.T) {
+	const n = 14
+	p := NewMaximize(n)
+	for j := 0; j < n; j++ {
+		p.SetObjective(j, math.Ldexp(1, n-1-j))
+	}
+	for i := 0; i < n; i++ {
+		terms := []Term{{i, 1}}
+		for j := 0; j < i; j++ {
+			terms = append(terms, Term{j, math.Ldexp(1, i-j+1)})
+		}
+		mustAdd(t, p, Constraint{Terms: terms, Sense: LessEq, RHS: math.Pow(5, float64(i+1))})
+	}
+	sol, err := p.Solve()
+	if !errors.Is(err, ErrIterationLimit) {
+		t.Fatalf("err = %v, want ErrIterationLimit", err)
+	}
+	if budget := 30*(n+2*n) + 10000; sol.Stats.Pivots != budget || sol.Stats.Iterations != budget {
+		t.Fatalf("stats = %+v, want %d pivots and iterations", sol.Stats, budget)
 	}
 }

@@ -217,3 +217,23 @@ func TestSolveFromSavesPhase1(t *testing.T) {
 		t.Fatalf("warm solve used %d pivots, want <= %d", got, len(cold.Basis))
 	}
 }
+
+// TestSolveFromFallbackCountsDiscardedPivots pins honest effort accounting:
+// a basis that installs partway before turning singular costs pivots, and the
+// fallback's Stats must include them on top of the cold solve's own.
+func TestSolveFromFallbackCountsDiscardedPivots(t *testing.T) {
+	cold := solveOK(t, warmBase(0))
+	warm, err := warmBase(0).SolveFrom([]int{0, 0}) // first pivot installs, second is singular
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Stats.WarmStarted {
+		t.Fatal("singular basis must fall back")
+	}
+	if got, want := warm.Stats.Pivots, cold.Stats.Pivots+1; got != want {
+		t.Fatalf("fallback pivots = %d, want cold %d + 1 discarded", got, cold.Stats.Pivots)
+	}
+	if warm.Stats.Phase1Pivots != cold.Stats.Phase1Pivots {
+		t.Fatalf("phase-1 pivots = %d, want the cold solve's %d", warm.Stats.Phase1Pivots, cold.Stats.Phase1Pivots)
+	}
+}

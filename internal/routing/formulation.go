@@ -347,24 +347,17 @@ type LPResult struct {
 	Basis []int
 }
 
-// SolveLP solves the relaxation and extracts the Y_k values.
-func (f *Formulation) SolveLP() (LPResult, error) {
-	return f.solve(func() (lp.Solution, error) { return f.Problem.Solve() })
-}
-
-// SolveLPFrom solves the relaxation warm-started from a previous solve's
-// basis, falling back to a cold solve when the basis no longer applies (see
-// lp.SolveFrom). This is the incremental re-plan path: a resident control
-// plane re-solving after small topology or demand deltas skips phase 1
-// whenever the old vertex is still feasible.
+// SolveLPFrom solves the relaxation and extracts the Y_k values, warm-started
+// from a previous solve's basis and falling back to a cold solve when the
+// basis no longer applies (see lp.SolveFrom); a nil basis solves cold. The
+// warm start is the re-plan path: a resident control plane re-solving the
+// same requests after small topology or demand deltas skips phase 1
+// whenever the old vertex is still feasible. On a solver error the result
+// carries only the effort Stats.
 func (f *Formulation) SolveLPFrom(basis []int) (LPResult, error) {
-	return f.solve(func() (lp.Solution, error) { return f.Problem.SolveFrom(basis) })
-}
-
-func (f *Formulation) solve(run func() (lp.Solution, error)) (LPResult, error) {
-	sol, err := run()
+	sol, err := f.Problem.SolveFrom(basis)
 	if err != nil {
-		return LPResult{}, err
+		return LPResult{Stats: sol.Stats}, err
 	}
 	res := LPResult{Status: sol.Status, Objective: sol.Objective, Stats: sol.Stats, Basis: sol.Basis}
 	if sol.Status != lp.Optimal {
@@ -400,15 +393,11 @@ func ScheduleLP(net *network.Network, reqs []network.Request, p Params) (Schedul
 	if err != nil {
 		return Schedule{}, err
 	}
-	res, err := form.SolveLP()
-	if err == nil {
-		emitLPSolved(p, form, res)
-	}
+	res, err := solveLP(p, form, nil)
 	if err != nil {
 		// Solver failures (e.g. the iteration budget on a heavily
 		// degenerate instance) degrade to greedy admission rather than
 		// aborting the round: the online network must always schedule.
-		p.Metrics.Counter("routing.lp_errors").Inc()
 		return fallback("solver-error")
 	}
 	if res.Status != lp.Optimal {
@@ -420,17 +409,25 @@ func ScheduleLP(net *network.Network, reqs []network.Request, p Params) (Schedul
 	return roundAndRepair(net, reqs, p, res)
 }
 
-// emitLPSolved records solver-effort telemetry for one relaxation solve.
-func emitLPSolved(p Params, form *Formulation, res LPResult) {
+// solveLP solves the relaxation from basis (nil: cold) and records the
+// solver effort of every call, a failed one included.
+func solveLP(p Params, form *Formulation, basis []int) (LPResult, error) {
+	res, err := form.SolveLPFrom(basis)
+	status := res.Status.String()
+	if err != nil {
+		p.Metrics.Counter("routing.lp_errors").Inc()
+		status = "error"
+	}
 	p.Metrics.Counter("routing.lp_solves").Inc()
 	p.Metrics.Counter("routing.lp_pivots").Add(int64(res.Stats.Pivots))
 	p.Metrics.Counter("routing.lp_iterations").Add(int64(res.Stats.Iterations))
 	p.Metrics.Counter("routing.lp_degenerate_pivots").Add(int64(res.Stats.DegeneratePivots))
 	telemetry.Emit(p.Tracer, telemetry.Ev("routing.lp_solved",
-		"status", res.Status.String(), "objective", res.Objective,
+		"status", status, "objective", res.Objective,
 		"pivots", res.Stats.Pivots, "iterations", res.Stats.Iterations,
 		"degenerate", res.Stats.DegeneratePivots,
 		"vars", form.Problem.NumVars(), "constraints", form.Problem.NumConstraints()))
+	return res, err
 }
 
 // roundAndRepair turns an optimal relaxation into an integral,

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"sync"
 
 	"surfnet/internal/lp"
@@ -11,18 +12,22 @@ import (
 // Planner is the resident control plane's incremental scheduler. It behaves
 // exactly like ScheduleLP — same formulation, same rounding, same greedy
 // repair — but remembers the simplex basis of its last optimal solve and
-// warm-starts the next one from it, so the steady-state re-plans a daemon
-// issues (fault telemetry, epoch batching, demand churn) skip simplex
-// phase 1 whenever the previous vertex is still feasible. A Planner is safe
-// for concurrent use; each Plan call is serialized.
+// the requests it was solved for. A re-plan of the same requests (fault
+// telemetry, retries) warm-starts from that basis and skips simplex phase 1
+// whenever the previous vertex is still feasible. A basis names per-request
+// columns, so for any other request set it means nothing and the solve is
+// cold from the start. A Planner is safe for concurrent use; each Plan call
+// is serialized.
 type Planner struct {
 	params Params
 
-	mu    sync.Mutex
+	mu sync.Mutex
+	// basis is the last optimal basis, solved for reqs.
 	basis []int
+	reqs  []network.Request
 	// warmHits / warmMisses count Plan calls whose LP solve did / did not
-	// reuse the previous basis (misses include cold first solves and
-	// fallbacks after topology reshapes).
+	// reuse the previous basis (misses include cold solves of new request
+	// sets and fallbacks after topology reshapes).
 	warmHits, warmMisses int64
 }
 
@@ -50,11 +55,11 @@ func (pl *Planner) Invalidate() {
 }
 
 // Plan schedules reqs on net, warm-starting the LP relaxation from the last
-// optimal basis when one is available. The integral schedule is produced by
-// the same rounding and greedy repair as ScheduleLP, so given identical
-// relaxation optima the two paths admit identical code sets. Designs without
-// an IP formulation (purification) and adaptive code sizing degrade to
-// Greedy exactly as in ScheduleLP.
+// optimal basis when it was solved for the same requests. The integral
+// schedule is produced by the same rounding and greedy repair as ScheduleLP,
+// so given identical relaxation optima the two paths admit identical code
+// sets. Designs without an IP formulation (purification) and adaptive code
+// sizing degrade to Greedy exactly as in ScheduleLP.
 func (pl *Planner) Plan(net *network.Network, reqs []network.Request) (Schedule, error) {
 	p := pl.params
 	fallback := func(reason string) (Schedule, error) {
@@ -75,26 +80,26 @@ func (pl *Planner) Plan(net *network.Network, reqs []network.Request) (Schedule,
 	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	res, err := form.SolveLPFrom(pl.basis)
-	if err == nil {
-		emitLPSolved(p, form, res)
-		if res.Stats.WarmStarted {
-			pl.warmHits++
-			p.Metrics.Counter("routing.replan_warm_hits").Inc()
-		} else {
-			pl.warmMisses++
-			p.Metrics.Counter("routing.replan_warm_misses").Inc()
-		}
+	var basis []int
+	if slices.Equal(reqs, pl.reqs) {
+		basis = pl.basis
 	}
+	res, err := solveLP(p, form, basis)
 	if err != nil {
-		p.Metrics.Counter("routing.lp_errors").Inc()
 		pl.basis = nil
 		return fallback("solver-error")
+	}
+	if res.Stats.WarmStarted {
+		pl.warmHits++
+		p.Metrics.Counter("routing.replan_warm_hits").Inc()
+	} else {
+		pl.warmMisses++
+		p.Metrics.Counter("routing.replan_warm_misses").Inc()
 	}
 	if res.Status != lp.Optimal {
 		pl.basis = nil
 		return fallback("lp-" + res.Status.String())
 	}
-	pl.basis = res.Basis
+	pl.basis, pl.reqs = res.Basis, slices.Clone(reqs)
 	return roundAndRepair(net, reqs, p, res)
 }

@@ -144,3 +144,50 @@ func TestPlannerPurificationFallsBackToGreedy(t *testing.T) {
 			sched.AcceptedCodes(), want.AcceptedCodes())
 	}
 }
+
+// TestPlannerNewRequestSetSolvesCold pins the warm-start key: a basis names
+// per-request columns, so after planning request set A the planner must solve
+// a different set B of the same LP shape exactly as a cold ScheduleLP does —
+// the same pivot count, with no installation pivots spent on A's basis.
+func TestPlannerNewRequestSetSolvesCold(t *testing.T) {
+	net, a := plannerScenario(t)
+	b, err := topology.GenRequests(net, len(a), 3, rng.New(6061))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams(SurfNet)
+	fa, err := BuildLP(net, a, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := BuildLP(net, b, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fa.Problem.NumVars() != fb.Problem.NumVars() || fa.Problem.NumConstraints() != fb.Problem.NumConstraints() {
+		t.Fatal("precondition: request sets A and B must give LPs of the same shape")
+	}
+	p.Metrics = telemetry.NewRegistry()
+	pl := NewPlanner(p)
+	if _, err := pl.Plan(net, a); err != nil {
+		t.Fatal(err)
+	}
+	pivots := p.Metrics.Counter("routing.lp_pivots")
+	before := pivots.Value()
+	if _, err := pl.Plan(net, b); err != nil {
+		t.Fatal(err)
+	}
+	planned := pivots.Value() - before
+
+	cold := DefaultParams(SurfNet)
+	cold.Metrics = telemetry.NewRegistry()
+	if _, err := ScheduleLP(net, b, cold); err != nil {
+		t.Fatal(err)
+	}
+	if want := cold.Metrics.Counter("routing.lp_pivots").Value(); planned != want {
+		t.Fatalf("planner spent %d pivots on the new request set, cold ScheduleLP %d", planned, want)
+	}
+	if hits, misses := pl.WarmStats(); hits != 0 || misses != 2 {
+		t.Fatalf("hits/misses = %d/%d, want 0/2", hits, misses)
+	}
+}

@@ -291,7 +291,7 @@ func TestSolveLPBoundsGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := form.SolveLP()
+	res, err := form.SolveLPFrom(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestLPNoiseInfeasibleGivesZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := form.SolveLP()
+	res, err := form.SolveLPFrom(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

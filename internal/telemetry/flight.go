@@ -86,7 +86,7 @@ func (k FlightKind) String() string {
 // events), Tick the service's causal clock (epoch number) at recording time,
 // and WallNs monotonic nanoseconds since the recorder was built. A, B, C are
 // kind-specific integer arguments and Note a kind-specific constant string —
-// no per-event allocations beyond the pre-sized ring.
+// no per-event allocations beyond the ring's own growth.
 type FlightEvent struct {
 	Seq    uint64
 	Kind   FlightKind
@@ -104,10 +104,13 @@ type Flight struct {
 	rec *FlightRecorder
 	id  string
 
-	mu        sync.Mutex
-	ring      []FlightEvent // fixed capacity, allocated once at Start
-	seq       uint64        // events recorded so far; ring keeps the last cap(ring)
-	firstWall int64         // wall stamp of event 0, surviving ring eviction
+	mu sync.Mutex
+	// ring grows by append up to max events, then wraps: a typical transfer
+	// records about 7 events, so rings are not allocated at the bound.
+	ring      []FlightEvent
+	max       int    // ring bound
+	seq       uint64 // events recorded so far; ring keeps the last max
+	firstWall int64  // wall stamp of event 0, surviving ring eviction
 	firstTick int64
 }
 
@@ -137,10 +140,10 @@ func (f *Flight) Record(kind FlightKind, tick, a, b, c int64, note string) Fligh
 		f.firstWall = ev.WallNs
 		f.firstTick = ev.Tick
 	}
-	if len(f.ring) < cap(f.ring) {
+	if len(f.ring) < f.max {
 		f.ring = append(f.ring, ev)
 	} else {
-		f.ring[f.seq%uint64(cap(f.ring))] = ev
+		f.ring[f.seq%uint64(f.max)] = ev
 	}
 	f.seq++
 	f.mu.Unlock()
@@ -157,11 +160,11 @@ func (f *Flight) Events() []FlightEvent {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make([]FlightEvent, len(f.ring))
-	if f.seq <= uint64(cap(f.ring)) {
+	if f.seq <= uint64(f.max) {
 		copy(out, f.ring)
 		return out
 	}
-	head := int(f.seq % uint64(cap(f.ring))) // oldest retained event
+	head := int(f.seq % uint64(f.max)) // oldest retained event
 	n := copy(out, f.ring[head:])
 	copy(out[n:], f.ring[:head])
 	return out
@@ -185,10 +188,10 @@ func (f *Flight) Dropped() int {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.seq <= uint64(cap(f.ring)) {
+	if f.seq <= uint64(f.max) {
 		return 0
 	}
-	return int(f.seq - uint64(cap(f.ring)))
+	return int(f.seq - uint64(f.max))
 }
 
 // StartWallNs reports the wall stamp of the flight's first event (0 on nil or
@@ -283,12 +286,12 @@ func (fr *FlightRecorder) wallNow() int64 {
 }
 
 // Start begins a new flight for the given transfer ID (nil on a nil
-// recorder). The event ring is allocated once, up front.
+// recorder). The event ring is allocated on demand as events arrive.
 func (fr *FlightRecorder) Start(id string) *Flight {
 	if fr == nil {
 		return nil
 	}
-	return &Flight{rec: fr, id: id, ring: make([]FlightEvent, 0, fr.events)}
+	return &Flight{rec: fr, id: id, max: fr.events}
 }
 
 // Retire snapshots a terminal flight into the recorder's bounded recent

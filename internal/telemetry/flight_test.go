@@ -98,6 +98,37 @@ func TestFlightRingBounded(t *testing.T) {
 	}
 }
 
+// TestFlightRingGrowsOnDemand pins the on-demand ring: a short flight does
+// not allocate the full bound up front, and a ring that reaches its bound
+// still wraps with the same eviction and ordering.
+func TestFlightRingGrowsOnDemand(t *testing.T) {
+	f := NewFlightRecorder(0, 0, flightClock()).Start("t-1")
+	for i := 0; i < 3; i++ {
+		f.Record(FlightExecuted, int64(i), 0, 0, 0, "")
+	}
+	if len(f.Events()) != 3 || cap(f.ring) >= defaultFlightEvents {
+		t.Fatalf("3-event flight: %d events in a ring of cap %d, want 3 in less than %d",
+			len(f.Events()), cap(f.ring), defaultFlightEvents)
+	}
+
+	f = NewFlightRecorder(4, 0, flightClock()).Start("t-2")
+	for i := 0; i < 10; i++ {
+		f.Record(FlightExecuted, int64(i), 0, 0, 0, "")
+	}
+	if f.Dropped() != 6 {
+		t.Fatalf("dropped = %d, want 6", f.Dropped())
+	}
+	evs := f.Events()
+	if len(evs) != 4 {
+		t.Fatalf("retained %d events, want 4", len(evs))
+	}
+	for i, ev := range evs {
+		if ev.Seq != uint64(6+i) || ev.Tick != int64(6+i) {
+			t.Fatalf("retained event %d = seq %d tick %d, want %d", i, ev.Seq, ev.Tick, 6+i)
+		}
+	}
+}
+
 func TestFlightRecorderRetainsLastN(t *testing.T) {
 	fr := NewFlightRecorder(8, 3, flightClock())
 	for i := 0; i < 5; i++ {

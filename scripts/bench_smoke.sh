@@ -38,6 +38,8 @@ expected = [
     "BenchmarkBatchDecode/fig8/d=9/scalar",
     "BenchmarkBatchDecode/erasure/d=9/packed",
     "BenchmarkBatchDecode/erasure/d=9/scalar",
+    "BenchmarkScheduleLP",
+    "BenchmarkPlannerEpochs",
 ]
 missing = [e for e in expected if not any(n.startswith(e) for n in names)]
 if missing:

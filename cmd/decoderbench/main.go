@@ -30,6 +30,7 @@ import (
 
 	"surfnet"
 	"surfnet/internal/cliutil"
+	"surfnet/internal/telemetry"
 )
 
 func main() {
@@ -111,7 +112,7 @@ func run() (exit int) {
 
 // printLatencies renders the per-decoder decode-time quantiles recorded under
 // decoder.<name>.decode_seconds during the study.
-func printLatencies(snap surfnet.MetricsSnapshot) {
+func printLatencies(snap telemetry.Snapshot) {
 	const prefix, suffix = "decoder.", ".decode_seconds"
 	var names []string
 	for name := range snap.Histograms {

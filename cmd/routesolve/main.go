@@ -20,6 +20,7 @@ import (
 
 	"surfnet"
 	"surfnet/internal/cliutil"
+	"surfnet/internal/telemetry"
 )
 
 func main() {
@@ -114,7 +115,7 @@ func run() (exit int) {
 }
 
 // printSolverStats reports the scheduler counters recorded during the solve.
-func printSolverStats(snap surfnet.MetricsSnapshot) {
+func printSolverStats(snap telemetry.Snapshot) {
 	c := snap.Counters
 	fmt.Printf("\nsolver: lp-solves=%d pivots=%d iterations=%d degenerate-pivots=%d\n",
 		c["routing.lp_solves"], c["routing.lp_pivots"],

@@ -60,12 +60,6 @@ type Fig8Point = experiments.Fig8Point
 // Fig8 reproduces the decoder threshold plots.
 func Fig8(cfg Fig8Config) ([]Fig8Point, error) { return experiments.Fig8(cfg) }
 
-// EstimateThreshold locates a decoder's error threshold from its Fig. 8
-// curves (NaN when the swept range does not bracket it).
-func EstimateThreshold(points []Fig8Point, decoderName string) float64 {
-	return experiments.EstimateThreshold(points, decoderName)
-}
-
 // FormatFig6a renders the Fig. 6(a) comparison as an aligned text table.
 func FormatFig6a(rows []Fig6aRow) string { return experiments.FormatFig6a(rows) }
 
@@ -87,11 +81,6 @@ type ResilienceRow = experiments.ResilienceRow
 // purification-2 baselines; nil selects the default intensities.
 func Resilience(cfg ExperimentConfig, intensities []float64) ([]ResilienceRow, error) {
 	return experiments.Resilience(cfg, intensities)
-}
-
-// ResilienceProfile returns the sweep's fault scenario at a given intensity.
-func ResilienceProfile(intensity float64) FaultProfile {
-	return experiments.ResilienceProfile(intensity)
 }
 
 // FormatResilience renders the resilience sweep as an aligned text table.

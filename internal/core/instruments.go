@@ -29,8 +29,8 @@ type instruments struct {
 	delivered       *telemetry.Counter // codes delivered within MaxSlots
 	timeouts        *telemetry.Counter // codes still in flight at MaxSlots
 
-	latency        *telemetry.Histogram // delivery latency in slots
-	erasedAtDecode *telemetry.Histogram // erasures entering each decode
+	latency        *telemetry.HDR // delivery latency in slots
+	erasedAtDecode *telemetry.HDR // erasures entering each decode
 }
 
 func newInstruments(reg *telemetry.Registry) instruments {
@@ -57,8 +57,8 @@ func newInstruments(reg *telemetry.Registry) instruments {
 		retransmissions: reg.Counter("core.retransmissions"),
 		delivered:       reg.Counter("core.delivered"),
 		timeouts:        reg.Counter("core.timeouts"),
-		latency:         reg.Histogram("core.delivery_latency_slots", telemetry.SlotBuckets),
-		erasedAtDecode:  reg.Histogram("core.erased_at_decode", telemetry.WeightBuckets),
+		latency:         reg.HDR("core.delivery_latency_slots", telemetry.CountSpec),
+		erasedAtDecode:  reg.HDR("core.erased_at_decode", telemetry.CountSpec),
 	}
 }
 

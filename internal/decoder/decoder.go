@@ -237,9 +237,9 @@ func DecodeFrameWith(c *surfacecode.Code, dec Decoder, frame quantum.Frame, eras
 	if reg != nil {
 		prefix := "decoder." + dec.Name() + "."
 		reg.Counter(prefix + "decodes").Inc()
-		reg.Histogram(prefix+"decode_seconds", telemetry.DurationBuckets).Observe(stats.Elapsed.Seconds())
-		reg.Histogram(prefix+"syndrome_weight", telemetry.WeightBuckets).Observe(float64(stats.SyndromeWeight))
-		reg.Histogram(prefix+"correction_weight", telemetry.WeightBuckets).Observe(float64(stats.CorrectionWeight))
+		reg.HDR(prefix+"decode_seconds", telemetry.WallLatencySpec).Observe(stats.Elapsed.Seconds())
+		reg.HDR(prefix+"syndrome_weight", telemetry.CountSpec).Observe(float64(stats.SyndromeWeight))
+		reg.HDR(prefix+"correction_weight", telemetry.CountSpec).Observe(float64(stats.CorrectionWeight))
 		if res.Failed() {
 			reg.Counter(prefix + "logical_failures").Inc()
 		}

@@ -375,38 +375,50 @@ func (f *Formulation) SolveLPFrom(basis []int) (LPResult, error) {
 // schedule by admitting codes greedily in decreasing fractional-Y order.
 // For purification designs (no IP formulation) it falls back to Greedy.
 func ScheduleLP(net *network.Network, reqs []network.Request, p Params) (Schedule, error) {
-	fallback := func(reason string) (Schedule, error) {
+	sched, _, err := scheduleLP(net, reqs, p, nil)
+	return sched, err
+}
+
+// scheduleLP is the one LP-schedule body behind ScheduleLP and Planner.Plan:
+// it solves the relaxation warm-started from basis (nil: cold), then rounds
+// and repairs, falling back to Greedy as ScheduleLP documents. The returned
+// LPResult is the solve's; its Status is 0 when no relaxation was solved (a
+// fallback before the LP, or a solver error).
+func scheduleLP(net *network.Network, reqs []network.Request, p Params, basis []int) (Schedule, LPResult, error) {
+	fallback := func(reason string, res LPResult) (Schedule, LPResult, error) {
 		p.Metrics.Counter("routing.greedy_fallbacks").Inc()
 		telemetry.Emit(p.Tracer, telemetry.Ev("routing.greedy_fallback",
 			"reason", reason, "requests", len(reqs)))
-		return Greedy(net, reqs, p, nil, nil)
+		sched, err := Greedy(net, reqs, p, nil, nil)
+		return sched, res, err
 	}
 	if p.Design != SurfNet && p.Design != Raw {
-		return fallback("design-without-formulation")
+		return fallback("design-without-formulation", LPResult{})
 	}
 	if len(p.AdaptiveDistances) > 0 {
 		// The Eq. (1)-(6) program fixes one code size; QoS-adaptive
 		// sizing is a per-code decision, handled by the greedy stage.
-		return fallback("adaptive-code-sizing")
+		return fallback("adaptive-code-sizing", LPResult{})
 	}
 	form, err := BuildLP(net, reqs, p)
 	if err != nil {
-		return Schedule{}, err
+		return Schedule{}, LPResult{}, err
 	}
-	res, err := solveLP(p, form, nil)
+	res, err := solveLP(p, form, basis)
 	if err != nil {
 		// Solver failures (e.g. the iteration budget on a heavily
 		// degenerate instance) degrade to greedy admission rather than
 		// aborting the round: the online network must always schedule.
-		return fallback("solver-error")
+		return fallback("solver-error", LPResult{})
 	}
 	if res.Status != lp.Optimal {
 		// Infeasible relaxations only arise from zero-capacity corner
 		// cases; fall back to greedy admission, which degrades to an
 		// empty schedule gracefully.
-		return fallback("lp-" + res.Status.String())
+		return fallback("lp-"+res.Status.String(), res)
 	}
-	return roundAndRepair(net, reqs, p, res)
+	sched, err := roundAndRepair(net, reqs, p, res)
+	return sched, res, err
 }
 
 // solveLP solves the relaxation from basis (nil: cold) and records the

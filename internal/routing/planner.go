@@ -6,12 +6,11 @@ import (
 
 	"surfnet/internal/lp"
 	"surfnet/internal/network"
-	"surfnet/internal/telemetry"
 )
 
-// Planner is the resident control plane's incremental scheduler. It behaves
-// exactly like ScheduleLP — same formulation, same rounding, same greedy
-// repair — but remembers the simplex basis of its last optimal solve and
+// Planner is the resident control plane's incremental scheduler. It runs
+// ScheduleLP's body — same formulation, same rounding, same greedy repair —
+// but remembers the simplex basis of its last optimal solve and
 // the requests it was solved for. A re-plan of the same requests (fault
 // telemetry, retries) warm-starts from that basis and skips simplex phase 1
 // whenever the previous vertex is still feasible. A basis names per-request
@@ -55,51 +54,34 @@ func (pl *Planner) Invalidate() {
 }
 
 // Plan schedules reqs on net, warm-starting the LP relaxation from the last
-// optimal basis when it was solved for the same requests. The integral
-// schedule is produced by the same rounding and greedy repair as ScheduleLP,
-// so given identical relaxation optima the two paths admit identical code
-// sets. Designs without an IP formulation (purification) and adaptive code
-// sizing degrade to Greedy exactly as in ScheduleLP.
+// optimal basis when it was solved for the same requests. Everything else,
+// the Greedy fallbacks of purification designs and adaptive code sizing
+// included, is ScheduleLP's body, so given identical relaxation optima the
+// two paths admit identical code sets.
 func (pl *Planner) Plan(net *network.Network, reqs []network.Request) (Schedule, error) {
-	p := pl.params
-	fallback := func(reason string) (Schedule, error) {
-		p.Metrics.Counter("routing.greedy_fallbacks").Inc()
-		telemetry.Emit(p.Tracer, telemetry.Ev("routing.greedy_fallback",
-			"reason", reason, "requests", len(reqs)))
-		return Greedy(net, reqs, p, nil, nil)
-	}
-	if p.Design != SurfNet && p.Design != Raw {
-		return fallback("design-without-formulation")
-	}
-	if len(p.AdaptiveDistances) > 0 {
-		return fallback("adaptive-code-sizing")
-	}
-	form, err := BuildLP(net, reqs, p)
-	if err != nil {
-		return Schedule{}, err
-	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	var basis []int
 	if slices.Equal(reqs, pl.reqs) {
 		basis = pl.basis
 	}
-	res, err := solveLP(p, form, basis)
-	if err != nil {
+	sched, res, err := scheduleLP(net, reqs, pl.params, basis)
+	if res.Status != 0 {
+		if res.Stats.WarmStarted {
+			pl.warmHits++
+			pl.params.Metrics.Counter("routing.replan_warm_hits").Inc()
+		} else {
+			pl.warmMisses++
+			pl.params.Metrics.Counter("routing.replan_warm_misses").Inc()
+		}
+	}
+	switch {
+	case res.Status == lp.Optimal:
+		pl.basis, pl.reqs = res.Basis, slices.Clone(reqs)
+	case err == nil:
+		// A solver error or a non-optimal status leaves no basis worth
+		// reusing. (A BuildLP error solved nothing and keeps it.)
 		pl.basis = nil
-		return fallback("solver-error")
 	}
-	if res.Stats.WarmStarted {
-		pl.warmHits++
-		p.Metrics.Counter("routing.replan_warm_hits").Inc()
-	} else {
-		pl.warmMisses++
-		p.Metrics.Counter("routing.replan_warm_misses").Inc()
-	}
-	if res.Status != lp.Optimal {
-		pl.basis = nil
-		return fallback("lp-" + res.Status.String())
-	}
-	pl.basis, pl.reqs = res.Basis, slices.Clone(reqs)
-	return roundAndRepair(net, reqs, p, res)
+	return sched, err
 }

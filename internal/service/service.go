@@ -338,7 +338,7 @@ type Service struct {
 	wall           *telemetry.HDR
 	epochWall      *telemetry.HDR
 	queueWait      *telemetry.HDR
-	queueDepthHist *telemetry.Histogram
+	queueDepthHist *telemetry.HDR
 	// segWall holds one wall HDR per attribution segment class; tenantWall
 	// one per tenant (bounded; overflow tenants share "other").
 	segWall    map[string]*telemetry.HDR
@@ -419,7 +419,7 @@ func New(eng *core.Engine, pl *routing.Planner, cfg Config) (*Service, error) {
 	s.wall = reg.HDR("service.transfer_wall_seconds", telemetry.WallLatencySpec)
 	s.epochWall = reg.HDR("service.epoch_wall_seconds", telemetry.WallLatencySpec)
 	s.queueWait = reg.HDR("service.queue_wait_wall_seconds", telemetry.WallLatencySpec)
-	s.queueDepthHist = reg.Histogram("service.queue_depth_sampled", telemetry.ExpBuckets(1, 2, 13))
+	s.queueDepthHist = reg.HDR("service.queue_depth_sampled", telemetry.CountSpec)
 	s.segWall = make(map[string]*telemetry.HDR, len(segmentClasses))
 	for _, class := range segmentClasses {
 		s.segWall[class] = reg.HDR("service.segment_"+class+"_wall_seconds", telemetry.WallLatencySpec)

@@ -3,8 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 )
 
 // Batch describes one contiguous slab of trials handed to a RunBatch
@@ -24,13 +22,13 @@ type Batch struct {
 
 // RunBatch executes trials 0..n-1 in contiguous batches of size trials
 // (the last batch may be shorter) on a pool of workers, returning per-trial
-// results in trial order. It is Run with a coarser work unit, built for the
+// results in trial order. It runs on Run's pool with a coarser work unit, for the
 // bit-packed engine in internal/batch where one call decodes up to 64 lanes:
 // the batch function returns exactly b.Len results, which land at
 // results[b.Start:]. Progress reporters attached with WithProgress receive
 // one TrialDone(b.Len) per completed batch, suppressed once the pool is
-// cancelled, and the determinism, cancellation, and first-error semantics
-// are those of Run.
+// cancelled; the determinism, cancellation, and first-error semantics are
+// those of Run.
 func RunBatch[T any](ctx context.Context, n, size, workers int, batch func(b Batch, w *Worker) ([]T, error)) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("sim: negative trial count %d", n)
@@ -38,98 +36,19 @@ func RunBatch[T any](ctx context.Context, n, size, workers int, batch func(b Bat
 	if size <= 0 {
 		return nil, fmt.Errorf("sim: non-positive batch size %d", size)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	nb := (n + size - 1) / size
-	workers = Normalize(workers)
-	if workers > nb {
-		workers = nb
-	}
 	results := make([]T, n)
-	if n == 0 {
-		return results, ctx.Err()
-	}
-	progress := progressFrom(ctx)
-	mk := func(bi int) Batch {
-		b := Batch{Index: bi, Start: bi * size, Len: size}
-		if b.Start+b.Len > n {
-			b.Len = n - b.Start
-		}
-		return b
-	}
-	run := func(b Batch, w *Worker) error {
+	if err := pool(ctx, (n+size-1)/size, workers, func(bi int, w *Worker) (int, error) {
+		b := Batch{Index: bi, Start: bi * size, Len: min(size, n-bi*size)}
 		vs, err := batch(b, w)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if len(vs) != b.Len {
-			return fmt.Errorf("sim: batch %d returned %d results, want %d", b.Index, len(vs), b.Len)
+			return 0, fmt.Errorf("sim: batch %d returned %d results, want %d", b.Index, len(vs), b.Len)
 		}
-		copy(results[b.Start:b.Start+b.Len], vs)
-		return nil
-	}
-
-	if workers == 1 {
-		w := &Worker{id: 0}
-		for bi := 0; bi < nb; bi++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			b := mk(bi)
-			if err := run(b, w); err != nil {
-				return nil, err
-			}
-			if progress != nil && ctx.Err() == nil {
-				progress.TrialDone(b.Len)
-			}
-		}
-		return results, nil
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		firstIdx = nb
-	)
-	fail := func(bi int, err error) {
-		mu.Lock()
-		if bi < firstIdx {
-			firstIdx, firstErr = bi, err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	for id := 0; id < workers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			w := &Worker{id: id}
-			for {
-				bi := int(next.Add(1)) - 1
-				if bi >= nb || ctx.Err() != nil {
-					return
-				}
-				b := mk(bi)
-				if err := run(b, w); err != nil {
-					fail(bi, err)
-					return
-				}
-				if progress != nil && ctx.Err() == nil {
-					progress.TrialDone(b.Len)
-				}
-			}
-		}(id)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+		copy(results[b.Start:], vs)
+		return b.Len, nil
+	}); err != nil {
 		return nil, err
 	}
 	return results, nil

@@ -128,66 +128,54 @@ func TestRunBatchProgress(t *testing.T) {
 }
 
 // TestRunSuppressesProgressAfterCancel is the regression test for the
-// progress over-count: a trial that completes after the pool's context was
+// progress over-count: a unit that completes after the pool's context was
 // cancelled has its result discarded on the error return, so it must not be
-// reported to the progress sink either. The cancellation is sequenced through
-// the trial functions themselves, so the test is deterministic under -race.
+// reported to the progress sink either. It covers both entry points, serial
+// and parallel. Unit 0 cancels the pool and only then opens the gate every
+// other unit waits on, so the test is deterministic under -race.
 func TestRunSuppressesProgressAfterCancel(t *testing.T) {
-	t.Run("serial", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		p := &countingProgress{}
-		_, err := Run(WithProgress(ctx, p), 4, 1, func(i int, _ *Worker) (int, error) {
-			if i == 0 {
-				// Cancel while the trial is in flight: it completes, but its
-				// result is discarded by the next loop iteration's ctx check.
-				cancel()
+	for _, tc := range []struct {
+		name    string
+		batch   bool
+		workers int
+	}{
+		{"serial", false, 1},
+		{"parallel", false, 2},
+		{"batch", true, 1},
+		{"batch_parallel", true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			gate := make(chan struct{})
+			unit := func(u int) {
+				if u == 0 {
+					cancel()
+					close(gate)
+					return
+				}
+				<-gate
 			}
-			return i, nil
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-		if got := p.total.Load(); got != 0 {
-			t.Fatalf("suppressed path reported %d trials, want 0", got)
-		}
-	})
-	t.Run("parallel", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		p := &countingProgress{}
-		gate := make(chan struct{})
-		_, err := Run(WithProgress(ctx, p), 8, 2, func(i int, _ *Worker) (int, error) {
-			if i == 0 {
-				cancel()    // pool is now cancelled...
-				close(gate) // ...and only then may any sibling finish
-				return 0, nil
+			p := &countingProgress{}
+			ctx = WithProgress(ctx, p)
+			var err error
+			if tc.batch {
+				_, err = RunBatch(ctx, 8*64, 64, tc.workers, func(b Batch, _ *Worker) ([]int, error) {
+					unit(b.Index)
+					return make([]int, b.Len), nil
+				})
+			} else {
+				_, err = Run(ctx, 8, tc.workers, func(i int, _ *Worker) (int, error) {
+					unit(i)
+					return i, nil
+				})
 			}
-			<-gate
-			return i, nil
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-		if got := p.total.Load(); got != 0 {
-			t.Fatalf("post-cancel trials reported %d completions, want 0", got)
-		}
-	})
-	t.Run("batch", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		p := &countingProgress{}
-		_, err := RunBatch(WithProgress(ctx, p), 128, 64, 1, func(b Batch, _ *Worker) ([]int, error) {
-			if b.Index == 0 {
-				cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-			return make([]int, b.Len), nil
+			if got := p.total.Load(); got != 0 {
+				t.Fatalf("post-cancel units reported %d trials, want 0", got)
+			}
 		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-		if got := p.total.Load(); got != 0 {
-			t.Fatalf("cancelled batch run reported %d trials, want 0", got)
-		}
-	})
+	}
 }

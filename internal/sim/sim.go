@@ -111,54 +111,75 @@ func Run[T any](ctx context.Context, n, workers int, trial func(i int, w *Worker
 	if n < 0 {
 		return nil, fmt.Errorf("sim: negative trial count %d", n)
 	}
+	results := make([]T, n)
+	if err := pool(ctx, n, workers, func(i int, w *Worker) (int, error) {
+		v, err := trial(i, w)
+		if err != nil {
+			return 0, err
+		}
+		results[i] = v
+		return 1, nil
+	}); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// pool is the one goroutine pool behind Run and RunBatch. It executes work
+// units 0..units-1 on at most workers goroutines (serially in the caller when
+// that is one), each goroutine owning one Worker. unit reports how many
+// trials it completed; that weight goes to the context's Progress reporter.
+//
+// On a unit's error the pool cancels, drains in-flight units, and returns the
+// error of the lowest-indexed failed unit it observed; the caller's ctx
+// cancels the pool the same way. A unit that completes after cancellation is
+// not reported to Progress: its result is discarded on the error return, and
+// counting it would let /status trial counts exceed the kept-trial count.
+func pool(ctx context.Context, units, workers int, unit func(u int, w *Worker) (int, error)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	workers = Normalize(workers)
-	if workers > n {
-		workers = n
+	if workers > units {
+		workers = units
 	}
-	results := make([]T, n)
-	if n == 0 {
-		return results, ctx.Err()
+	if units == 0 {
+		return ctx.Err()
 	}
 	progress := progressFrom(ctx)
 
 	if workers == 1 {
 		w := &Worker{id: 0}
-		for i := 0; i < n; i++ {
+		for u := 0; u < units; u++ {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
-			v, err := trial(i, w)
+			done, err := unit(u, w)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			results[i] = v
-			// Report only while the run is still live: a trial that
-			// completes after the caller's ctx was cancelled has its
-			// result discarded on return, so counting it would let
-			// progress exceed the kept-trial count.
 			if progress != nil && ctx.Err() == nil {
-				progress.TrialDone(1)
+				progress.TrialDone(done)
 			}
 		}
-		return results, nil
+		return nil
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
+	// The goroutines capture pctx, assigned once, so the caller's ctx is
+	// never boxed on the heap and the serial path stays allocation-lean.
+	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
 		next     atomic.Int64
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
-		firstIdx = n
+		firstIdx = units
 	)
-	fail := func(i int, err error) {
+	fail := func(u int, err error) {
 		mu.Lock()
-		if i < firstIdx {
-			firstIdx, firstErr = i, err
+		if u < firstIdx {
+			firstIdx, firstErr = u, err
 		}
 		mu.Unlock()
 		cancel()
@@ -169,33 +190,24 @@ func Run[T any](ctx context.Context, n, workers int, trial func(i int, w *Worker
 			defer wg.Done()
 			w := &Worker{id: id}
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
+				u := int(next.Add(1)) - 1
+				if u >= units || pctx.Err() != nil {
 					return
 				}
-				v, err := trial(i, w)
+				done, err := unit(u, w)
 				if err != nil {
-					fail(i, err)
+					fail(u, err)
 					return
 				}
-				results[i] = v
-				// A worker that passed the ctx check above can finish its
-				// trial after a sibling failed and cancelled the pool; its
-				// result is discarded on the error return, so suppress the
-				// progress report too — otherwise /status trial counts
-				// exceed the number of trials whose results are kept.
-				if progress != nil && ctx.Err() == nil {
-					progress.TrialDone(1)
+				if progress != nil && pctx.Err() == nil {
+					progress.TrialDone(done)
 				}
 			}
 		}(id)
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
+	return pctx.Err()
 }

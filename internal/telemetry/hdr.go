@@ -17,8 +17,9 @@ import (
 // All updates are atomic and every method is a no-op (or returns the empty
 // convention) on a nil receiver, matching the package's instrumentation
 // contract. HDRs recording the same layout are mergeable across workers with
-// Merge, and Quantile supports the deep tail (p999) that the fixed
-// DurationBuckets histogram cannot resolve.
+// Merge, and Quantile resolves the deep tail (p999). It is the registry's one
+// histogram type: wall latencies use WallLatencySpec, and slot, weight and
+// depth counts use CountSpec.
 type HDR struct {
 	spec    HDRSpec
 	buckets []atomic.Int64 // octaves*subBuckets buckets, plus one overflow
@@ -46,6 +47,12 @@ type HDRSpec struct {
 // 100ns resolution floor, 8 sub-buckets per octave (≤ ~9.1% relative
 // quantile error), 31 octaves reaching past 200s.
 var WallLatencySpec = HDRSpec{Min: 1e-7, SubBuckets: 8, Octaves: 31}
+
+// CountSpec is the layout for non-negative integer counts (delivery latency
+// in slots, syndrome and correction weights, queue depth): bucket 0 holds
+// exactly the zeros, every integer below 16 has a bucket of its own, larger
+// counts resolve to within 12.5%, and the range reaches past 10^6.
+var CountSpec = HDRSpec{Min: 0.5, SubBuckets: 8, Octaves: 21}
 
 // NewHDR builds an empty histogram with the given layout.
 func NewHDR(spec HDRSpec) *HDR {
@@ -135,11 +142,12 @@ func (h *HDR) UpperBound(i int) float64 {
 	return h.LowerBound(i + 1)
 }
 
-// Observe records one observation. NaN and negative values are dropped (wall
-// durations are non-negative by construction; a clock step backwards must not
-// poison the histogram).
+// Observe records one observation. NaN, negative and infinite values are
+// dropped: durations and counts are finite and non-negative by construction,
+// a clock step backwards must not poison the histogram, and an infinite Sum,
+// Min or Max would make every later JSON snapshot unencodable.
 func (h *HDR) Observe(v float64) {
-	if h == nil || math.IsNaN(v) || v < 0 {
+	if h == nil || math.IsNaN(v) || v < 0 || math.IsInf(v, 1) {
 		return
 	}
 	h.buckets[h.bucketIndex(v)].Add(1)
@@ -148,9 +156,6 @@ func (h *HDR) Observe(v float64) {
 	casFloat(&h.minBits, v, func(cur float64) bool { return v < cur })
 	casFloat(&h.maxBits, v, func(cur float64) bool { return v > cur })
 }
-
-// ObserveDuration records a duration given in seconds.
-func (h *HDR) ObserveDuration(seconds float64) { h.Observe(seconds) }
 
 // Count reports the number of observations.
 func (h *HDR) Count() int64 {

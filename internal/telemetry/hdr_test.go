@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -196,8 +197,8 @@ func TestHDRConcurrentObserve(t *testing.T) {
 	}
 }
 
-// TestRegistryHDR checks registry integration: named creation, name
-// collisions with fixed-bucket histograms, and snapshot folding with p999.
+// TestRegistryHDR checks registry integration: named creation and snapshot
+// folding with p999.
 func TestRegistryHDR(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.HDR("wall.test_seconds", WallLatencySpec)
@@ -228,10 +229,39 @@ func TestRegistryHDR(t *testing.T) {
 	if nilReg.HDR("x", WallLatencySpec) != nil {
 		t.Fatal("nil registry must yield nil HDR")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("name collision with fixed-bucket histogram must panic")
+}
+
+// TestHDRObserveDropsNonFinite checks that NaN, negative and infinite
+// observations are dropped: an infinite Sum, Min or Max would make every
+// later JSON snapshot of the registry fail to encode.
+func TestHDRObserveDropsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), -1, math.Inf(1), math.Inf(-1)} {
+		reg := NewRegistry()
+		h := reg.HDR("wall.test_seconds", WallLatencySpec)
+		h.Observe(v)
+		if h.Count() != 0 {
+			t.Errorf("Observe(%g): count = %d, want 0", v, h.Count())
 		}
-	}()
-	reg.Histogram("wall.test_seconds", LinearBuckets(1, 1, 2))
+		if err := reg.Snapshot().WriteJSON(io.Discard); err != nil {
+			t.Errorf("Observe(%g): snapshot no longer encodes: %v", v, err)
+		}
+	}
+}
+
+// TestCountSpecIntegerBuckets pins CountSpec's documented layout: zero and
+// every integer below 16 get a bucket of their own, and the finite range
+// reaches past 10^6.
+func TestCountSpecIntegerBuckets(t *testing.T) {
+	h := NewHDR(CountSpec)
+	owner := map[int]int{}
+	for v := 0; v < 16; v++ {
+		i := h.bucketIndex(float64(v))
+		if w, dup := owner[i]; dup {
+			t.Fatalf("counts %d and %d share bucket %d", w, v, i)
+		}
+		owner[i] = v
+	}
+	if top := h.UpperBound(h.NumBuckets() - 1); top < 1e6 {
+		t.Fatalf("finite range ends at %g, want >= 1e6", top)
+	}
 }

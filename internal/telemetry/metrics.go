@@ -1,5 +1,5 @@
 // Package telemetry is the repo's zero-dependency observability layer: a
-// metrics registry of atomic counters, gauges, and fixed-bucket histograms,
+// metrics registry of atomic counters, gauges, and log-linear HDR histograms,
 // plus a slot-level event tracer with a buffered JSONL sink.
 //
 // Every type is safe for concurrent use, and every method is a no-op on a
@@ -9,7 +9,7 @@
 //	reg.Counter("core.decodes").Inc()
 //
 // Hot paths should resolve their instruments once (at construction) and
-// hold the resulting *Counter / *Histogram pointers; a nil Registry yields
+// hold the resulting *Counter / *HDR pointers; a nil Registry yields
 // nil instruments whose methods cost one predictable branch.
 package telemetry
 
@@ -66,13 +66,7 @@ func (g *Gauge) Add(delta float64) {
 	if g == nil {
 		return
 	}
-	for {
-		old := g.bits.Load()
-		v := math.Float64frombits(old) + delta
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
+	addFloat(&g.bits, delta)
 }
 
 // Value reads the current value.
@@ -81,64 +75,6 @@ func (g *Gauge) Value() float64 {
 		return 0
 	}
 	return math.Float64frombits(g.bits.Load())
-}
-
-// Histogram accumulates observations into fixed buckets and tracks count,
-// sum, min, and max. Buckets are cumulative-upper-bound style: observation v
-// lands in the first bucket with v <= bound, or the implicit +Inf overflow
-// bucket. All updates are atomic; a snapshot taken mid-update is internally
-// consistent to within the in-flight observations.
-type Histogram struct {
-	bounds  []float64 // ascending finite upper bounds
-	buckets []atomic.Int64
-	count   atomic.Int64
-	sumBits atomic.Uint64 // float64 bits
-	minBits atomic.Uint64 // float64 bits, +Inf when empty
-	maxBits atomic.Uint64 // float64 bits, -Inf when empty
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	h := &Histogram{
-		bounds:  append([]float64(nil), bounds...),
-		buckets: make([]atomic.Int64, len(bounds)+1),
-	}
-	h.minBits.Store(math.Float64bits(math.Inf(1)))
-	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
-	return h
-}
-
-// Observe records one observation.
-func (h *Histogram) Observe(v float64) {
-	if h == nil || math.IsNaN(v) {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	addFloat(&h.sumBits, v)
-	casFloat(&h.minBits, v, func(cur float64) bool { return v < cur })
-	casFloat(&h.maxBits, v, func(cur float64) bool { return v > cur })
-}
-
-// ObserveDuration records a duration given in seconds; it is Observe with a
-// name that documents the repo-wide convention that timing histograms carry
-// seconds.
-func (h *Histogram) ObserveDuration(seconds float64) { h.Observe(seconds) }
-
-// Count reports the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum reports the sum of observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
 }
 
 // addFloat atomically adds delta to a float64 stored as uint64 bits.
@@ -165,107 +101,22 @@ func casFloat(bits *atomic.Uint64, v float64, better func(float64) bool) {
 	}
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) by linear interpolation
-// within the bucket containing the target rank, clamped to the observed
-// [min, max]. It returns NaN for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return math.NaN()
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	min := math.Float64frombits(h.minBits.Load())
-	max := math.Float64frombits(h.maxBits.Load())
-	if q <= 0 {
-		return min
-	}
-	if q >= 1 {
-		return max
-	}
-	rank := q * float64(total)
-	cum := int64(0)
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			continue
-		}
-		if float64(cum+n) < rank {
-			cum += n
-			continue
-		}
-		lo := min
-		if i > 0 {
-			lo = math.Max(min, h.bounds[i-1])
-		}
-		hi := max
-		if i < len(h.bounds) {
-			hi = math.Min(max, h.bounds[i])
-		}
-		frac := (rank - float64(cum)) / float64(n)
-		return lo + (hi-lo)*frac
-	}
-	return max
-}
-
-// ExpBuckets returns n ascending bucket bounds starting at start and growing
-// by factor: start, start*factor, ... Useful for latency histograms.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic(fmt.Sprintf("telemetry: invalid ExpBuckets(%v, %v, %d)", start, factor, n))
-	}
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n ascending bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic(fmt.Sprintf("telemetry: invalid LinearBuckets(%v, %v, %d)", start, width, n))
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
-// Default bucket layouts shared by the instrumented subsystems.
-var (
-	// DurationBuckets covers 1µs .. ~8.4s in powers of two, for per-call
-	// wall-time histograms in seconds.
-	DurationBuckets = ExpBuckets(1e-6, 2, 24)
-	// SlotBuckets covers 1 .. 512 slots, for latency-in-slots histograms.
-	SlotBuckets = ExpBuckets(1, 2, 10)
-	// WeightBuckets covers small integer weights (syndrome and correction
-	// sizes) 0 .. 96.
-	WeightBuckets = LinearBuckets(0, 4, 25)
-)
-
 // Registry is a named collection of instruments. The zero value is not
 // usable; construct with NewRegistry. A nil *Registry is the package's no-op
 // default: every lookup returns a nil instrument.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-	hdrs       map[string]*HDR
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hdrs     map[string]*HDR
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   map[string]*Counter{},
-		gauges:     map[string]*Gauge{},
-		histograms: map[string]*Histogram{},
-		hdrs:       map[string]*HDR{},
+		counters: map[string]*Counter{},
+		gauges:   map[string]*Gauge{},
+		hdrs:     map[string]*HDR{},
 	}
 }
 
@@ -299,34 +150,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given bucket
-// bounds on first use. Later calls return the existing histogram regardless
-// of bounds, so instruments stay consistent across call sites.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		if !sort.Float64sAreSorted(bounds) || len(bounds) == 0 {
-			panic(fmt.Sprintf("telemetry: histogram %q needs ascending non-empty bounds", name))
-		}
-		if _, clash := r.hdrs[name]; clash {
-			panic(fmt.Sprintf("telemetry: histogram %q collides with an existing HDR", name))
-		}
-		h = newHistogram(bounds)
-		r.histograms[name] = h
-	}
-	return h
-}
-
 // HDR returns the named log-linear latency histogram, creating it with the
 // given layout on first use. Later calls return the existing histogram
-// regardless of spec, so instruments stay consistent across call sites. Names
-// share the histogram namespace: an HDR and a fixed-bucket Histogram may not
-// collide (snapshots would be ambiguous), so reusing a Histogram name panics.
+// regardless of spec, so instruments stay consistent across call sites.
 func (r *Registry) HDR(name string, spec HDRSpec) *HDR {
 	if r == nil {
 		return nil
@@ -335,9 +161,6 @@ func (r *Registry) HDR(name string, spec HDRSpec) *HDR {
 	defer r.mu.Unlock()
 	h, ok := r.hdrs[name]
 	if !ok {
-		if _, clash := r.histograms[name]; clash {
-			panic(fmt.Sprintf("telemetry: HDR %q collides with an existing histogram", name))
-		}
 		h = NewHDR(spec)
 		r.hdrs[name] = h
 	}
@@ -426,33 +249,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
 	}
-	for name, h := range r.histograms {
-		hs := HistogramSnapshot{
-			Count: h.Count(),
-			Sum:   h.Sum(),
-			P50:   h.Quantile(0.50),
-			P90:   h.Quantile(0.90),
-			P99:   h.Quantile(0.99),
-			P999:  h.Quantile(0.999),
-		}
-		hs.Min = math.Float64frombits(h.minBits.Load())
-		hs.Max = math.Float64frombits(h.maxBits.Load())
-		if hs.Count == 0 {
-			hs.Min, hs.Max = 0, 0
-			hs.P50, hs.P90, hs.P99, hs.P999 = 0, 0, 0, 0
-		}
-		for i := range h.buckets {
-			le := math.Inf(1)
-			if i < len(h.bounds) {
-				le = h.bounds[i]
-			}
-			hs.Buckets = append(hs.Buckets, BucketSnapshot{Le: le, Count: h.buckets[i].Load()})
-		}
-		s.Histograms[name] = hs
-	}
-	// HDR latency histograms share the exposition namespace: one
-	// HistogramSnapshot each, with empty finite buckets elided (the
-	// cumulative Prometheus series is unchanged by the elision).
 	for name, h := range r.hdrs {
 		s.Histograms[name] = h.snapshot()
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // TestConcurrentInstruments hammers one registry's counters, gauges, and
-// histograms from many goroutines and checks the snapshot totals. Run under
+// HDR histograms from many goroutines and checks the snapshot totals. Run under
 // -race this is the telemetry layer's data-race proof.
 func TestConcurrentInstruments(t *testing.T) {
 	reg := NewRegistry()
@@ -25,7 +25,7 @@ func TestConcurrentInstruments(t *testing.T) {
 			// lookup races are exercised too.
 			c := reg.Counter("test.counter")
 			g := reg.Gauge("test.gauge")
-			h := reg.Histogram("test.hist", LinearBuckets(1, 1, 8))
+			h := reg.HDR("test.hist", CountSpec)
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				g.Add(1)
@@ -67,11 +67,11 @@ func TestNilRegistryNoops(t *testing.T) {
 	reg.Counter("x").Add(5)
 	reg.Gauge("y").Set(3)
 	reg.Gauge("y").Add(1)
-	reg.Histogram("z", DurationBuckets).Observe(0.5)
+	reg.HDR("z", WallLatencySpec).Observe(0.5)
 	if v := reg.Counter("x").Value(); v != 0 {
 		t.Errorf("nil counter value = %d", v)
 	}
-	if q := reg.Histogram("z", DurationBuckets).Quantile(0.5); !math.IsNaN(q) {
+	if q := reg.HDR("z", WallLatencySpec).Quantile(0.5); !math.IsNaN(q) {
 		t.Errorf("nil histogram quantile = %g, want NaN", q)
 	}
 	s := reg.Snapshot()
@@ -79,24 +79,6 @@ func TestNilRegistryNoops(t *testing.T) {
 		t.Errorf("nil snapshot not empty: %+v", s)
 	}
 	Emit(nil, Ev("no.tracer")) // must not panic
-}
-
-func TestHistogramQuantiles(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("q", LinearBuckets(10, 10, 10)) // 10,20,...,100
-	for v := 1; v <= 100; v++ {
-		h.Observe(float64(v))
-	}
-	for _, tc := range []struct {
-		q, want, tol float64
-	}{
-		{0, 1, 0}, {1, 100, 0}, {0.5, 50, 10}, {0.9, 90, 10}, {0.99, 99, 10},
-	} {
-		got := h.Quantile(tc.q)
-		if math.Abs(got-tc.want) > tc.tol {
-			t.Errorf("Quantile(%g) = %g, want %g ± %g", tc.q, got, tc.want, tc.tol)
-		}
-	}
 }
 
 func TestSummaryTextSorted(t *testing.T) {
@@ -202,7 +184,7 @@ func TestCounterDelta(t *testing.T) {
 func TestSnapshotJSON(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("c").Inc()
-	reg.Histogram("h", []float64{1, 2}).Observe(1.5)
+	reg.HDR("h", CountSpec).Observe(1.5)
 	var buf bytes.Buffer
 	if err := reg.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
@@ -224,7 +206,8 @@ func TestSnapshotJSON(t *testing.T) {
 		t.Errorf("counter c = %d", m.Counters["c"])
 	}
 	h := m.Histograms["h"]
-	if h.Count != 1 || len(h.Buckets) != 3 {
+	// One populated finite bucket plus the overflow bucket.
+	if h.Count != 1 || len(h.Buckets) != 2 {
 		t.Fatalf("histogram = %+v", h)
 	}
 	if h.Buckets[len(h.Buckets)-1].Le != "+Inf" {

@@ -54,23 +54,32 @@ grep -q '_total ' "$metrics" || { echo "no counters in /metrics"; cat "$metrics"
 # Wall-clock latency observability (-wall -slot-budget): the dual-clock span
 # histograms and the budget-overrun counter must materialize once the first
 # spans complete. With a 1ns budget every checked span overruns, so the
-# counter is strictly positive.
+# counter is strictly positive. The engine's and decoder's HDR families
+# (delivery latency in slots, decode time, syndrome weight) must be populated
+# too.
+required=(
+  '^surfnet_slot_wall_seconds_count [1-9]'
+  '^surfnet_decode_wall_seconds_count [1-9]'
+  '^surfnet_budget_overruns_total [1-9]'
+  '^surfnet_core_delivery_latency_slots_count [1-9]'
+  '^surfnet_decoder_surfnet_decode_seconds_count [1-9]'
+  '^surfnet_decoder_surfnet_syndrome_weight_count [1-9]'
+)
+all_present() {
+  local re
+  for re in "${required[@]}"; do
+    grep -q "$re" "$metrics" || return 1
+  done
+}
 for _ in $(seq 1 200); do
-  if grep -q '^surfnet_slot_wall_seconds_count [1-9]' "$metrics" \
-    && grep -q '^surfnet_decode_wall_seconds_count [1-9]' "$metrics" \
-    && grep -q '^surfnet_budget_overruns_total [1-9]' "$metrics"; then
-    break
-  fi
+  all_present && break
   kill -0 "$pid" 2>/dev/null || break
   sleep 0.1
   curl -fsS "http://$addr/metrics" >"$metrics" || true
 done
-grep -q '^surfnet_slot_wall_seconds_count [1-9]' "$metrics" \
-  || { echo "no slot wall-latency histogram in /metrics"; cat "$metrics"; exit 1; }
-grep -q '^surfnet_decode_wall_seconds_count [1-9]' "$metrics" \
-  || { echo "no decode wall-latency histogram in /metrics"; cat "$metrics"; exit 1; }
-grep -q '^surfnet_budget_overruns_total [1-9]' "$metrics" \
-  || { echo "no budget overruns counted in /metrics"; cat "$metrics"; exit 1; }
+for re in "${required[@]}"; do
+  grep -q "$re" "$metrics" || { echo "/metrics lacks a sample matching $re"; cat "$metrics"; exit 1; }
+done
 
 # /status must be JSON with live cell progress.
 status="$workdir/status.json"

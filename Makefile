@@ -85,7 +85,7 @@ chaos-smoke:
 
 # Flight-recorder smoke: surfnetd under chaos with trace sampling, a trace
 # fetched mid-chaos asserting the segment-attribution sum contract, the
-# /debug/bundle shape, flightview rendering, and the segment HDR families on
+# /debug/bundle shape, traceview rendering, and the segment HDR families on
 # /metrics (same script CI runs).
 flight-smoke:
 	./scripts/flight_smoke.sh

@@ -5,10 +5,10 @@
 //
 // Metrics are gated differently because they travel differently across
 // machines: allocs/op is deterministic and gated strictly (any increase
-// beyond -alloc-tol fails), B/op nearly so (-bytes-tol), while ns/op depends
-// on the host and gets the -tol band (CI, comparing against a snapshot from
-// different hardware, runs with a wide -tol; local runs use the tight
-// default). Extra metric families (wall-latency percentiles) are reported
+// beyond -alloc-tol fails), B/op nearly so (-bytes-tol), and either one
+// growing from a zero baseline always fails; ns/op depends on the host and
+// gets the -tol band (CI, comparing against a snapshot from different
+// hardware, runs with a wide -tol; local runs use the tight default). Extra metric families (wall-latency percentiles) are reported
 // but never gated — short benchtimes make tails too noisy to block on.
 //
 // Usage:
@@ -18,61 +18,47 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 	"text/tabwriter"
+
+	"surfnet/internal/ledger"
 )
 
-// Benchmark mirrors benchjson's record (kept in sync by TestRoundTrip there
-// being the ledger's only writer).
-type Benchmark struct {
-	Name        string             `json:"name"`
-	Procs       int                `json:"procs"`
-	Package     string             `json:"package,omitempty"`
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64              `json:"allocs_per_op,omitempty"`
-	Extra       map[string]float64 `json:"extra,omitempty"`
-}
-
-// Report mirrors benchjson's document.
-type Report struct {
-	Goos       string      `json:"goos,omitempty"`
-	Goarch     string      `json:"goarch,omitempty"`
-	CPU        string      `json:"cpu,omitempty"`
-	Benchmarks []Benchmark `json:"benchmarks"`
-}
-
-// loadReport reads and indexes one snapshot by benchmark name.
-func loadReport(path string) (*Report, map[string]Benchmark, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	idx := make(map[string]Benchmark, len(rep.Benchmarks))
+// index keys a snapshot's benchmarks by name.
+func index(rep *ledger.Report) map[string]ledger.Benchmark {
+	idx := make(map[string]ledger.Benchmark, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
 		idx[b.Name] = b
 	}
-	return &rep, idx, nil
+	return idx
 }
 
-// verdict classifies one metric delta against its tolerance.
-func verdict(old, new, tol float64) string {
+// row is one compared metric of one benchmark. Only gated rows fail the
+// diff; counted rows are the allocation counts, which a zero baseline still
+// gates: growth from 0 B/op or 0 allocs/op (a zero-alloc path that starts
+// allocating) has no relative band and regresses outright.
+type row struct {
+	metric   string
+	old, new float64
+	tol      float64
+	gated    bool
+	counted  bool
+}
+
+// verdict classifies the row's delta against its tolerance.
+func (r row) verdict() string {
 	switch {
-	case old == 0:
-		return "new"
-	case new > old*(1+tol):
+	case r.old == 0 && r.counted && r.new > 0:
 		return "REGRESSION"
-	case new < old*(1-tol):
+	case r.old == 0:
+		return "new"
+	case r.new > r.old*(1+r.tol):
+		return "REGRESSION"
+	case r.new < r.old*(1-r.tol):
 		return "improved"
 	default:
 		return "ok"
@@ -89,7 +75,7 @@ func pct(old, new float64) string {
 
 // diff compares old against new and writes the ledger table; it returns the
 // number of gated regressions.
-func diff(w io.Writer, oldIdx, newIdx map[string]Benchmark, tol, bytesTol, allocTol float64, requireAll bool) int {
+func diff(w io.Writer, oldIdx, newIdx map[string]ledger.Benchmark, tol, bytesTol, allocTol float64, requireAll bool) int {
 	names := make([]string, 0, len(oldIdx))
 	for n := range oldIdx {
 		names = append(names, n)
@@ -111,15 +97,10 @@ func diff(w io.Writer, oldIdx, newIdx map[string]Benchmark, tol, bytesTol, alloc
 			}
 			continue
 		}
-		rows := []struct {
-			metric   string
-			old, new float64
-			tol      float64
-			gated    bool
-		}{
-			{"ns/op", o.NsPerOp, n.NsPerOp, tol, true},
-			{"B/op", float64(o.BytesPerOp), float64(n.BytesPerOp), bytesTol, true},
-			{"allocs/op", float64(o.AllocsPerOp), float64(n.AllocsPerOp), allocTol, true},
+		rows := []row{
+			{"ns/op", o.NsPerOp, n.NsPerOp, tol, true, false},
+			{"B/op", float64(o.BytesPerOp), float64(n.BytesPerOp), bytesTol, true, true},
+			{"allocs/op", float64(o.AllocsPerOp), float64(n.AllocsPerOp), allocTol, true, true},
 		}
 		extras := make([]string, 0, len(o.Extra))
 		for unit := range o.Extra {
@@ -128,19 +109,14 @@ func diff(w io.Writer, oldIdx, newIdx map[string]Benchmark, tol, bytesTol, alloc
 		sort.Strings(extras)
 		for _, unit := range extras {
 			if nv, ok := n.Extra[unit]; ok {
-				rows = append(rows, struct {
-					metric   string
-					old, new float64
-					tol      float64
-					gated    bool
-				}{unit, o.Extra[unit], nv, tol, false})
+				rows = append(rows, row{unit, o.Extra[unit], nv, tol, false, false})
 			}
 		}
 		for _, r := range rows {
 			if r.old == 0 && r.new == 0 {
 				continue // metric absent on both sides (e.g. no -benchmem)
 			}
-			v := verdict(r.old, r.new, r.tol)
+			v := r.verdict()
 			if !r.gated && v == "REGRESSION" {
 				v = "regression (not gated)"
 			}
@@ -184,16 +160,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: benchdiff [flags] OLD.json NEW.json")
 		return 2
 	}
-	oldRep, oldIdx, err := loadReport(fs.Arg(0))
+	oldRep, err := ledger.Load(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
 		return 2
 	}
-	newRep, newIdx, err := loadReport(fs.Arg(1))
+	newRep, err := ledger.Load(fs.Arg(1))
 	if err != nil {
 		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
 		return 2
 	}
+	oldIdx, newIdx := index(oldRep), index(newRep)
 	if oldRep.CPU != "" && newRep.CPU != "" && oldRep.CPU != newRep.CPU {
 		fmt.Fprintf(stdout, "note: snapshots from different CPUs (%q vs %q); ns/op deltas are indicative only\n",
 			oldRep.CPU, newRep.CPU)

@@ -14,38 +14,16 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"os"
 	"strconv"
 	"strings"
+
+	"surfnet/internal/ledger"
 )
-
-// Benchmark is one parsed benchmark result line. Extra collects every
-// non-standard value/unit pair the benchmark reported via b.ReportMetric —
-// the wall-latency percentile families (p50-ns/op, p99-ns/op, p999-ns/op)
-// and the packed engine's per-trial throughput (ns/trial) land here —
-// keyed by unit.
-type Benchmark struct {
-	Name        string             `json:"name"`
-	Procs       int                `json:"procs"`
-	Package     string             `json:"package,omitempty"`
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64              `json:"allocs_per_op,omitempty"`
-	Extra       map[string]float64 `json:"extra,omitempty"`
-}
-
-// Report is the emitted JSON document.
-type Report struct {
-	Goos       string      `json:"goos,omitempty"`
-	Goarch     string      `json:"goarch,omitempty"`
-	CPU        string      `json:"cpu,omitempty"`
-	Benchmarks []Benchmark `json:"benchmarks"`
-}
 
 // parseName splits "BenchmarkFoo/sub-8" into the bare name and the
 // trailing GOMAXPROCS suffix (1 when absent).
@@ -60,21 +38,23 @@ func parseName(field string) (string, int) {
 
 // parseLine parses one benchmark result line; ok is false for any other
 // line (metadata, PASS, test log output).
-func parseLine(line, pkg string) (Benchmark, bool) {
+func parseLine(line, pkg string) (ledger.Benchmark, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return Benchmark{}, false
+		return ledger.Benchmark{}, false
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Benchmark{}, false
+		return ledger.Benchmark{}, false
 	}
-	b := Benchmark{Iterations: iters, Package: pkg}
+	b := ledger.Benchmark{Iterations: iters, Package: pkg}
 	b.Name, b.Procs = parseName(fields[0])
 	// The remaining fields come in value/unit pairs: 1234 ns/op 56 B/op ...
 	for i := 2; i+1 < len(fields); i += 2 {
+		// Non-finite values (NaN, ±Inf) have no JSON encoding; skip them
+		// like any other unparsable value.
 		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			continue
 		}
 		switch unit := fields[i+1]; unit {
@@ -98,8 +78,8 @@ func parseLine(line, pkg string) (Benchmark, bool) {
 			}
 		}
 	}
-	if b.NsPerOp == 0 {
-		return Benchmark{}, false
+	if b.NsPerOp <= 0 {
+		return ledger.Benchmark{}, false
 	}
 	return b, true
 }
@@ -113,7 +93,7 @@ func run() int {
 	flag.Parse()
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 
-	var report Report
+	var report ledger.Report
 	pkg := ""
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -144,19 +124,7 @@ func run() int {
 		return 1
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			slog.Error("benchjson: creating output", "err", err)
-			return 1
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
+	if err := ledger.Write(*out, &report); err != nil {
 		slog.Error("benchjson: writing output", "err", err)
 		return 1
 	}

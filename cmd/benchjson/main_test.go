@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"encoding/json"
+	"strings"
+	"testing"
+)
 
 func TestParseLine(t *testing.T) {
 	b, ok := parseLine("BenchmarkSurfNetDecoder/d=9-8   \t  1215\t    987654 ns/op\t  120 B/op\t   3 allocs/op", "surfnet")
@@ -69,4 +73,23 @@ func TestParseNameWithoutProcsSuffix(t *testing.T) {
 	if name != "BenchmarkDecodeFrameAllocs" || procs != 16 {
 		t.Fatalf("got %q/%d", name, procs)
 	}
+}
+
+// FuzzParseLine feeds arbitrary lines to the bench-output parser: it never
+// panics, and every line it accepts is a named benchmark with a positive
+// GOMAXPROCS suffix, a positive finite ns/op, and a record the ledger can
+// encode. The seed corpus lives in testdata/fuzz/FuzzParseLine.
+func FuzzParseLine(f *testing.F) {
+	f.Fuzz(func(t *testing.T, line string) {
+		b, ok := parseLine(line, "surfnet")
+		if !ok {
+			return
+		}
+		if !strings.HasPrefix(b.Name, "Benchmark") || b.Procs < 1 || !(b.NsPerOp > 0) {
+			t.Fatalf("parseLine(%q) accepted %+v", line, b)
+		}
+		if _, err := json.Marshal(b); err != nil {
+			t.Fatalf("parseLine(%q) = %+v, which does not encode: %v", line, b, err)
+		}
+	})
 }

@@ -48,55 +48,13 @@ import (
 	"sync"
 	"time"
 
+	"surfnet/internal/ledger"
 	"surfnet/internal/rng"
+	"surfnet/internal/service"
 )
 
 func main() {
 	os.Exit(run())
-}
-
-// transferRequest mirrors the daemon's POST /v1/transfers body.
-type transferRequest struct {
-	Tenant      string `json:"tenant,omitempty"`
-	Src         int    `json:"src"`
-	Dst         int    `json:"dst"`
-	Messages    int    `json:"messages"`
-	DeadlineMs  int64  `json:"deadline_ms,omitempty"`
-	RetryBudget int    `json:"retry_budget,omitempty"`
-}
-
-// transferStatus mirrors the daemon's transfer resource.
-type transferStatus struct {
-	ID                 string  `json:"id"`
-	State              string  `json:"state"`
-	FailureClass       string  `json:"failure_class"`
-	AcceptedCodes      int     `json:"accepted_codes"`
-	SuccessCodes       int     `json:"success_codes"`
-	WallLatencySeconds float64 `json:"wall_latency_seconds"`
-}
-
-// networkInfo mirrors GET /v1/network, reduced to what the driver needs.
-type networkInfo struct {
-	Nodes []struct {
-		ID   int    `json:"id"`
-		Role string `json:"role"`
-	} `json:"nodes"`
-}
-
-// benchmark and report mirror cmd/benchjson's schema, so BENCH_service.json
-// diffs under the same cmd/benchdiff gate as the micro-benchmark ledgers.
-type benchmark struct {
-	Name       string             `json:"name"`
-	Procs      int                `json:"procs"`
-	Iterations int64              `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op"`
-	Extra      map[string]float64 `json:"extra,omitempty"`
-}
-
-type report struct {
-	Goos       string      `json:"goos,omitempty"`
-	Goarch     string      `json:"goarch,omitempty"`
-	Benchmarks []benchmark `json:"benchmarks"`
 }
 
 // result is one transfer's fate as the client saw it.
@@ -111,21 +69,9 @@ type result struct {
 	clientNs  float64 // submit-to-terminal as observed over HTTP
 }
 
-// flightTrace mirrors GET /v1/transfers/{id}/trace, reduced to the
-// attribution the driver aggregates.
-type flightTrace struct {
-	ID       string `json:"id"`
-	Segments []struct {
-		Class  string `json:"class"`
-		WallNs int64  `json:"wall_ns"`
-	} `json:"segments"`
-	TotalWallNs int64 `json:"total_wall_ns"`
-}
-
 // sampleSlowTraces pulls flight traces for the n slowest completed transfers
 // and aggregates their per-segment wall time. It returns the summed ns per
-// segment class and how many traces were actually fetched (the daemon may
-// run with flight recording disabled — sampling then degrades to zero).
+// segment class and how many traces were actually fetched.
 func sampleSlowTraces(client *http.Client, base string, results []result, n int) (map[string]float64, int) {
 	completed := make([]result, 0, len(results))
 	for _, r := range results {
@@ -144,7 +90,7 @@ func sampleSlowTraces(client *http.Client, base string, results []result, n int)
 		if err != nil {
 			continue
 		}
-		var tr flightTrace
+		var tr service.FlightTrace
 		decErr := json.NewDecoder(resp.Body).Decode(&tr)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK || decErr != nil {
@@ -209,7 +155,7 @@ func userNodes(client *http.Client, base string) ([]int, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("GET /v1/network: status %d", resp.StatusCode)
 	}
-	var info networkInfo
+	var info service.NetworkInfo
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		return nil, err
 	}
@@ -227,17 +173,17 @@ func userNodes(client *http.Client, base string) ([]int, error) {
 
 // drive submits one transfer — resubmitting shed attempts per the retry
 // policy — and polls it to a terminal state.
-func drive(client *http.Client, base string, req transferRequest, poll, timeout time.Duration, rp retryPolicy, src *rng.Source) result {
+func drive(client *http.Client, base string, req service.TransferRequest, poll, timeout time.Duration, rp retryPolicy, src *rng.Source) result {
 	body, _ := json.Marshal(req)
 	start := time.Now()
-	var st transferStatus
+	var st service.TransferStatus
 	retries := 0
 	for {
 		resp, err := client.Post(base+"/v1/transfers", "application/json", bytes.NewReader(body))
 		if err != nil {
 			return result{state: "error", retries: retries}
 		}
-		st = transferStatus{}
+		st = service.TransferStatus{}
 		decErr := json.NewDecoder(resp.Body).Decode(&st)
 		retryAfter := resp.Header.Get("Retry-After")
 		resp.Body.Close()
@@ -271,7 +217,7 @@ func drive(client *http.Client, base string, req transferRequest, poll, timeout 
 		if err != nil {
 			return result{state: "error", retries: retries}
 		}
-		if st.State == "completed" || st.State == "failed" {
+		if st.State == service.StateCompleted || st.State == service.StateFailed {
 			return result{
 				id:        st.ID,
 				state:     st.State,
@@ -343,7 +289,7 @@ func run() int {
 	src := rng.New(*seed)
 	type arrival struct {
 		at  time.Duration
-		req transferRequest
+		req service.TransferRequest
 	}
 	plan := make([]arrival, *requests)
 	var at time.Duration
@@ -356,7 +302,7 @@ func run() int {
 			bi++
 		}
 		a, b := users[ai], users[bi]
-		plan[i] = arrival{at: at, req: transferRequest{
+		plan[i] = arrival{at: at, req: service.TransferRequest{
 			Tenant:      fmt.Sprintf("tenant-%d", src.IntN(*tenants)),
 			Src:         a,
 			Dst:         b,
@@ -377,7 +323,7 @@ func run() int {
 			time.Sleep(d)
 		}
 		wg.Add(1)
-		go func(i int, req transferRequest) {
+		go func(i int, req service.TransferRequest) {
 			defer wg.Done()
 			results[i] = drive(client, base, req, *poll, *timeout, rp, src.SplitN("retry", i))
 		}(i, a.req)
@@ -430,10 +376,10 @@ func run() int {
 		mean += v
 	}
 	mean /= float64(len(wall))
-	rep := report{
+	rep := ledger.Report{
 		Goos:   runtime.GOOS,
 		Goarch: runtime.GOARCH,
-		Benchmarks: []benchmark{{
+		Benchmarks: []ledger.Benchmark{{
 			// Admission-to-completion wall latency as measured by the daemon
 			// itself; the client-observed round trip rides along as extras.
 			Name:       "ServiceTransferWall",
@@ -476,7 +422,7 @@ func run() int {
 			}
 			fmt.Printf("slowest-%d attribution  %s\n", fetched, strings.Join(parts, "  "))
 		} else {
-			slog.Warn("surfload: -sample-traces requested but no traces fetched (flight recording disabled?)")
+			slog.Warn("surfload: -sample-traces requested but no traces fetched")
 		}
 	}
 	fmt.Printf("transfers %d completed %d shed %d failed %d retries %d fidelity %.3f\n",
@@ -487,20 +433,8 @@ func run() int {
 		quantile(clientNs, 0.50)/1e6, quantile(clientNs, 0.99)/1e6)
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			slog.Error("surfload: creating output", "err", err)
-			return 1
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			f.Close()
+		if err := ledger.Write(*out, &rep); err != nil {
 			slog.Error("surfload: writing output", "err", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			slog.Error("surfload: closing output", "err", err)
 			return 1
 		}
 		slog.Info("surfload: wrote report", "out", *out)

@@ -100,8 +100,6 @@ func run() (exit int) {
 	faultReplanThreshold := flag.Int("fault-replan-threshold", 0, "outage events before a forced re-plan (0: default 4, negative: never)")
 	planBudget := flag.Duration("plan-budget", 0, "LP plan wall-clock budget; exceeding it trips the greedy circuit breaker (0: no budget)")
 	breakerCooldown := flag.Int("breaker-cooldown", 0, "epochs the circuit breaker stays open (0: default 4)")
-	flightEvents := flag.Int("flight-events", 0, "per-transfer flight-recorder event ring size (0: default 64, negative: disable flight recording)")
-	flightRetain := flag.Int("flight-retain", 0, "terminal flights retained for /debug/bundle (0: default 32)")
 	var obs cliutil.Observability
 	obs.DeferReady = true // not ready until the engine owns state and routes are up
 	obs.Register(flag.CommandLine)
@@ -173,8 +171,6 @@ func run() (exit int) {
 		FaultReplanThreshold: *faultReplanThreshold,
 		PlanBudget:           *planBudget,
 		BreakerCooldown:      *breakerCooldown,
-		FlightEvents:         *flightEvents,
-		FlightRetain:         *flightRetain,
 	})
 	if err != nil {
 		slog.Error("surfnetd: building service", "err", err)

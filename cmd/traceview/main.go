@@ -1,13 +1,20 @@
-// Command traceview analyzes a JSONL event trace written by -trace-out: it
-// reconstructs the span trees of every traced communication
+// Command traceview is the one viewer for the system's traces. It reads one
+// input, from a file or stdin, and sniffs which of two kinds it is.
+//
+// A JSONL event trace written by -trace-out (its first object has "event"):
+// traceview reconstructs the span trees of every traced communication
 // (transfer→epoch→slot→decode), reports a per-stage latency breakdown —
 // total and self time (self = a span's duration minus its children's), and
 // p50/p90/p99 over span durations in slots — extracts the critical path of
 // the slowest transfer, and lists the top-K slowest spans per stage.
-//
 // Durations in the deterministic trace are measured in slots, the engine's
 // causal clock; wall-clock latency lives in the telemetry histograms
 // (<stage>_wall_seconds in -metrics-out and /metrics), not in the trace.
+//
+// A flight document from surfnetd (an object with "events" or "flights"):
+// GET /v1/transfers/{id}/trace renders that transfer's timeline and latency
+// attribution; GET /debug/bundle renders every retained flight, slowest
+// first, plus a cross-flight attribution rollup.
 //
 // Usage:
 //
@@ -16,18 +23,24 @@
 //	traceview -json trace.jsonl      # machine-readable report
 //	traceview -top 10 trace.jsonl    # deeper slow-span listing
 //
-// With no file argument the trace is read from stdin.
+//	curl -s localhost:8080/debug/bundle | traceview          # incident view
+//	curl -s localhost:8080/v1/transfers/t-3/trace | traceview # one flight
+//	traceview -json bundle.json      # the parsed flights as JSON
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 	"text/tabwriter"
+
+	"surfnet/internal/service"
 )
 
 // spanEvent is the subset of a trace line traceview consumes. Req and Code
@@ -369,21 +382,89 @@ func writeTable(w io.Writer, rep *Report) {
 	}
 }
 
+// input is one sniffed viewer input: either a -trace-out span stream or the
+// flights of a /trace or /debug/bundle document, slowest first.
+type input struct {
+	spans   io.Reader
+	flights []service.FlightTrace
+}
+
+// parseInput reads the input's first JSON object to tell the two kinds
+// apart. A span stream is handed back whole, first object included; a
+// flight document is decoded straight into the daemon's wire type.
+func parseInput(r io.Reader) (input, error) {
+	var head bytes.Buffer
+	var first json.RawMessage
+	if err := json.NewDecoder(io.TeeReader(r, &head)).Decode(&first); err != nil {
+		if errors.Is(err, io.EOF) {
+			return input{}, errors.New("empty input")
+		}
+		return input{}, fmt.Errorf("parsing input: %w", err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(first, &keys); err != nil {
+		return input{}, fmt.Errorf("parsing input: %w", err)
+	}
+	var in input
+	switch {
+	case keys["event"] != nil:
+		return input{spans: io.MultiReader(&head, r)}, nil
+	case keys["flights"] != nil:
+		var bundle struct{ Flights []service.FlightTrace }
+		if err := json.Unmarshal(first, &bundle); err != nil {
+			return input{}, fmt.Errorf("parsing /debug/bundle: %w", err)
+		}
+		in.flights = bundle.Flights
+	case keys["events"] != nil:
+		var tr service.FlightTrace
+		if err := json.Unmarshal(first, &tr); err != nil {
+			return input{}, fmt.Errorf("parsing transfer trace: %w", err)
+		}
+		in.flights = []service.FlightTrace{tr}
+	default:
+		return input{}, errors.New(`input is neither a -trace-out stream (first object has no "event"), ` +
+			`a /debug/bundle (no "flights") nor a transfer trace (no "events")`)
+	}
+	sort.SliceStable(in.flights, func(i, j int) bool {
+		return in.flights[i].TotalWallNs > in.flights[j].TotalWallNs
+	})
+	return in, nil
+}
+
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+	// One buffered write at exit: a reader that stops early (`| grep -q`)
+	// cannot break the pipe under a report that fits the pipe buffer.
+	stdout := bufio.NewWriterSize(os.Stdout, 64*1024)
+	code := run(os.Args[1:], os.Stdin, stdout, os.Stderr)
+	if err := stdout.Flush(); err != nil && code == 0 {
+		fmt.Fprintf(os.Stderr, "traceview: %v\n", err)
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// writeJSON emits v as indented JSON and returns the exit code.
+func writeJSON(stdout, stderr io.Writer, v any) int {
+	enc := json.NewEncoder(stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		fmt.Fprintf(stderr, "traceview: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("traceview", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	asJSON := fs.Bool("json", false, "emit the report as JSON instead of a table")
-	topK := fs.Int("top", 5, "how many critical paths and slowest spans per stage to keep")
+	asJSON := fs.Bool("json", false, "emit the report (span input) or the parsed flights (flight input) as JSON instead of tables")
+	topK := fs.Int("top", 5, "how many critical paths and slowest spans per stage to keep (span input)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	in := stdin
+	r := stdin
 	if fs.NArg() > 1 {
-		fmt.Fprintln(stderr, "traceview: at most one trace file")
+		fmt.Fprintln(stderr, "traceview: at most one input file")
 		return 2
 	}
 	if fs.NArg() == 1 {
@@ -393,9 +474,21 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			return 1
 		}
 		defer f.Close()
-		in = f
+		r = f
 	}
-	forest, err := parseTrace(in)
+	in, err := parseInput(r)
+	if err != nil {
+		fmt.Fprintf(stderr, "traceview: %v\n", err)
+		return 1
+	}
+	if in.spans == nil {
+		if *asJSON {
+			return writeJSON(stdout, stderr, in.flights)
+		}
+		writeFlights(stdout, in.flights)
+		return 0
+	}
+	forest, err := parseTrace(in.spans)
 	if err != nil {
 		fmt.Fprintf(stderr, "traceview: %v\n", err)
 		return 1
@@ -406,13 +499,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	rep := analyze(forest, *topK)
 	if *asJSON {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintf(stderr, "traceview: %v\n", err)
-			return 1
-		}
-		return 0
+		return writeJSON(stdout, stderr, rep)
 	}
 	writeTable(stdout, rep)
 	return 0

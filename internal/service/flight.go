@@ -1,10 +1,6 @@
 package service
 
-import (
-	"fmt"
-
-	"surfnet/internal/telemetry"
-)
+import "surfnet/internal/telemetry"
 
 // Latency attribution decomposes a transfer's admission-to-terminal wall time
 // into named segments by walking its flight events in order. Segments are
@@ -225,17 +221,13 @@ func buildTrace(snap telemetry.FlightSnapshot, firstWall, firstTick int64, st Tr
 
 // Trace returns a transfer's flight timeline and latency attribution. It
 // works for live and terminal transfers alike (a live transfer's trace ends
-// at its most recent event). ErrUnknownTransfer maps to 404; so does flight
-// recording being disabled.
+// at its most recent event). ErrUnknownTransfer maps to 404.
 func (s *Service) Trace(id string) (FlightTrace, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.transfers[id]
 	if !ok {
 		return FlightTrace{}, ErrUnknownTransfer
-	}
-	if t.flight == nil {
-		return FlightTrace{}, fmt.Errorf("%w: flight recording disabled", ErrUnknownTransfer)
 	}
 	snap := telemetry.FlightSnapshot{
 		ID:      t.flight.ID(),
@@ -256,7 +248,7 @@ type DebugBundle struct {
 }
 
 // Bundle assembles the incident snapshot. Metrics are empty when the service
-// runs without a registry; Flights when flight recording is disabled.
+// runs without a registry.
 func (s *Service) Bundle() DebugBundle {
 	b := DebugBundle{
 		Status: s.Status(),

@@ -174,24 +174,49 @@ func TestAttributionClassifiesBackoffWithoutFaults(t *testing.T) {
 	}
 }
 
-// TestFlightRecordingDisabled pins the FlightEvents<0 escape hatch: no
-// flights, traces 404, but transfers still complete with wall latency from
-// the fallback clock math.
-func TestFlightRecordingDisabled(t *testing.T) {
-	svc, subs := fixture(t, Config{FlightEvents: -1, FaultTick: -1})
-	st, err := svc.Submit(subs[0])
-	if err != nil {
-		t.Fatal(err)
+// TestAttributionChargesTruncatedWindow pins the evicted-ring case: with
+// events dropped, admission to the oldest retained event is charged to
+// truncated, and the segments still sum exactly to the flight's total.
+func TestAttributionChargesTruncatedWindow(t *testing.T) {
+	// The ring kept seq 3 onward; the flight was admitted at wall 100.
+	events := []telemetry.FlightEvent{
+		{Seq: 3, Kind: telemetry.FlightPlanned, Tick: 1, WallNs: 130},
+		{Seq: 4, Kind: telemetry.FlightExecuted, Tick: 1, WallNs: 150},
+		{Seq: 5, Kind: telemetry.FlightRetryScheduled, Tick: 1, WallNs: 152},
+		{Seq: 6, Kind: telemetry.FlightQueueExit, Tick: 3, WallNs: 180},
+		{Seq: 7, Kind: telemetry.FlightPlanned, Tick: 3, WallNs: 190},
+		{Seq: 8, Kind: telemetry.FlightExecuted, Tick: 3, WallNs: 200},
+		{Seq: 9, Kind: telemetry.FlightTerminal, Tick: 3, WallNs: 205, Note: "completed"},
 	}
-	final := stepUntilTerminal(t, svc, st.ID, 5)
-	if final.State != StateCompleted || final.WallLatencySeconds <= 0 {
-		t.Fatalf("flights-off transfer = %+v", final)
+	a := attribute(events, 100, 0, 3)
+	want := map[string]int64{SegTruncated: 30, SegPlan: 10, SegExecute: 37, SegRetryBackoff: 28}
+	var sum int64
+	for class, ns := range a.wallNs {
+		sum += ns
+		if ns != want[class] {
+			t.Fatalf("%s = %dns, want %d (all: %v)", class, ns, want[class], a.wallNs)
+		}
 	}
-	if _, err := svc.Trace(st.ID); !errors.Is(err, ErrUnknownTransfer) {
-		t.Fatalf("Trace with recording disabled = %v, want ErrUnknownTransfer", err)
+	if sum != 105 {
+		t.Fatalf("attribution sums to %dns, want 105 (205-100)", sum)
 	}
-	if got := svc.Bundle(); len(got.Flights) != 0 {
-		t.Fatalf("bundle carries %d flights with recording disabled", len(got.Flights))
+	if a.ticks[SegTruncated] != 1 || a.ticks[SegRetryBackoff] != 2 {
+		t.Fatalf("ticks = %v, want truncated 1 and retry_backoff 2", a.ticks)
+	}
+
+	// The wire form carries the truncated segment and the same exact sum.
+	tr := buildTrace(telemetry.FlightSnapshot{ID: "t-9", Events: events, Dropped: 3}, 100, 0, TransferStatus{})
+	if tr.DroppedEvents != 3 || tr.TotalWallNs != 105 || tr.TotalTicks != 3 {
+		t.Fatalf("trace header = %+v", tr)
+	}
+	sum = 0
+	var truncated bool
+	for _, seg := range tr.Segments {
+		sum += seg.WallNs
+		truncated = truncated || seg.Class == SegTruncated && seg.WallNs == 30
+	}
+	if !truncated || sum != tr.TotalWallNs {
+		t.Fatalf("segments %+v: want truncated 30ns and a sum of %d", tr.Segments, tr.TotalWallNs)
 	}
 }
 
@@ -204,7 +229,7 @@ func TestTraceUnknownTransfer(t *testing.T) {
 
 // TestWorkerInvarianceWithFlights pins the side-effect-freedom contract:
 // identical admission + fault timelines produce identical terminal outcomes
-// whether flight recording is on or off, and for every worker count.
+// for every worker count, and whether or not flight rings evict events.
 func TestWorkerInvarianceWithFlights(t *testing.T) {
 	profile := &faults.Profile{
 		FiberCrashProb:   0.05,
@@ -217,14 +242,16 @@ func TestWorkerInvarianceWithFlights(t *testing.T) {
 		Retries                      int
 		Epoch                        int64
 	}
-	run := func(workers, flightEvents int) map[string]outcome {
+	run := func(workers int, tinyRing bool) map[string]outcome {
 		svc, subs := fixture(t, Config{
-			Workers:      workers,
-			EpochMax:     2,
-			FaultTick:    -1,
-			Faults:       profile,
-			FlightEvents: flightEvents,
+			Workers:   workers,
+			EpochMax:  2,
+			FaultTick: -1,
+			Faults:    profile,
 		})
+		if tinyRing {
+			svc.recorder = telemetry.NewFlightRecorder(4, 0, nil)
+		}
 		var ids []string
 		for _, sub := range subs {
 			sub.RetryBudget = 2
@@ -244,31 +271,41 @@ func TestWorkerInvarianceWithFlights(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := make(map[string]outcome, len(ids))
+		dropped := 0
 		for _, id := range ids {
 			st, err := svc.Get(id)
 			if err != nil {
 				t.Fatal(err)
 			}
+			tr, err := svc.Trace(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dropped += tr.DroppedEvents
 			got[id] = outcome{
 				State: st.State, Class: st.FailureClass,
 				Accepted: st.AcceptedCodes, Delivered: st.DeliveredCodes,
 				Success: st.SuccessCodes, Retries: st.Retries, Epoch: st.Epoch,
 			}
 		}
+		if tinyRing != (dropped > 0) {
+			t.Fatalf("workers=%d tinyRing=%v: %d events dropped", workers, tinyRing, dropped)
+		}
 		return got
 	}
-	base := run(1, 0) // flights on, default ring
-	for _, tc := range []struct{ workers, flightEvents int }{
-		{4, 0},  // flights on, wide pool
-		{1, -1}, // flights off
-		{4, -1}, // flights off, wide pool
-		{2, 4},  // tiny ring forcing eviction mid-flight
+	base := run(1, false) // default ring
+	for _, tc := range []struct {
+		workers  int
+		tinyRing bool
+	}{
+		{4, false}, // wide pool
+		{2, true},  // 4-event ring forcing eviction mid-flight
 	} {
-		got := run(tc.workers, tc.flightEvents)
+		got := run(tc.workers, tc.tinyRing)
 		for id, want := range base {
 			if got[id] != want {
-				t.Fatalf("workers=%d flights=%d: transfer %s = %+v, want %+v",
-					tc.workers, tc.flightEvents, id, got[id], want)
+				t.Fatalf("workers=%d tinyRing=%v: transfer %s = %+v, want %+v",
+					tc.workers, tc.tinyRing, id, got[id], want)
 			}
 		}
 	}

@@ -15,7 +15,7 @@ import (
 //	                               Retry-After; 503 draining; 400 invalid)
 //	GET  /v1/transfers/{id}        transfer status (200; 404 unknown)
 //	GET  /v1/transfers/{id}/trace  flight timeline + latency attribution
-//	                               (200; 404 unknown or recording disabled)
+//	                               (200; 404 unknown)
 //	GET  /v1/network               network snapshot (nodes, fibers, roles)
 //	GET  /v1/faults                live fault-plane snapshot + armed scenario
 //	POST /v1/faults                swap the live fault scenario (200; 400)

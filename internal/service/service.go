@@ -114,13 +114,6 @@ type Config struct {
 	// tripping. Zero selects 4.
 	BreakerCooldown int
 
-	// FlightEvents bounds each transfer's flight-recorder event ring. Zero
-	// selects 64; negative disables flight recording entirely (traces and
-	// /debug/bundle flights 404, latency falls back to coarse wall math).
-	FlightEvents int
-	// FlightRetain bounds how many terminal flights the recorder keeps for
-	// /debug/bundle. Zero selects 32; negative retains none.
-	FlightRetain int
 	// FlightClock is the clock flight events and transfer deadlines read.
 	// Nil selects time.Now; tests inject a deterministic clock.
 	FlightClock func() time.Time
@@ -227,8 +220,7 @@ type transfer struct {
 	deadline    time.Time // zero: no deadline
 	retryBudget int
 	notBefore   int64 // earliest epoch a scheduled retry may run in
-	// flight is the transfer's lifecycle event ring (nil when flight
-	// recording is disabled).
+	// flight is the transfer's lifecycle event ring.
 	flight *telemetry.Flight
 }
 
@@ -344,7 +336,8 @@ type Service struct {
 	segWall    map[string]*telemetry.HDR
 	tenantWall map[string]*telemetry.HDR
 
-	// recorder starts per-transfer flight event rings; nil when disabled.
+	// recorder starts per-transfer flight event rings (64 events each) and
+	// keeps the last 32 terminal flights for /debug/bundle.
 	// now is the service clock (injectable for deterministic tests).
 	recorder *telemetry.FlightRecorder
 	now      func() time.Time
@@ -429,9 +422,7 @@ func New(eng *core.Engine, pl *routing.Planner, cfg Config) (*Service, error) {
 	if s.now == nil {
 		s.now = time.Now
 	}
-	if cfg.FlightEvents >= 0 {
-		s.recorder = telemetry.NewFlightRecorder(cfg.FlightEvents, cfg.FlightRetain, cfg.FlightClock)
-	}
+	s.recorder = telemetry.NewFlightRecorder(0, 0, cfg.FlightClock)
 	s.totals.failedByClass = make(map[string]int64)
 	var profile faults.Profile
 	if cfg.Faults != nil {
@@ -996,13 +987,8 @@ func (s *Service) finalizeFailureLocked(t *transfer, epoch int64, class, msg str
 // terminalFlightLocked stamps a transfer's terminal flight event, derives its
 // admission-to-terminal wall latency from the flight's own stamps (so /trace
 // segment sums match WallLatencySeconds exactly), feeds the per-segment wall
-// HDRs, and retires the flight into the recorder's incident window. With
-// flight recording disabled it falls back to coarse clock math.
+// HDRs, and retires the flight into the recorder's incident window.
 func (s *Service) terminalFlightLocked(t *transfer, epoch int64, note string) {
-	if t.flight == nil {
-		t.status.WallLatencySeconds = s.now().Sub(t.submitted).Seconds()
-		return
-	}
 	ev := t.flight.Record(telemetry.FlightTerminal, epoch, 0, 0, 0, note)
 	t.status.WallLatencySeconds = float64(ev.WallNs-t.flight.StartWallNs()) / 1e9
 	a := attribute(t.flight.Events(), t.flight.StartWallNs(), t.flight.StartTick(), t.flight.Dropped())

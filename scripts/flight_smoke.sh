@@ -4,7 +4,7 @@
 # assert the latency-attribution contract end to end: a trace fetched
 # mid-chaos is a complete ordered timeline whose segments sum exactly to the
 # transfer's admission-to-terminal wall time, /debug/bundle has the incident
-# shape (status + metrics + faults + flights), flightview renders it, the
+# shape (status + metrics + faults + flights), traceview renders it, the
 # segment and queue-wait HDR families are live on /metrics, and unmatched API
 # paths answer with the JSON error envelope.
 set -euo pipefail
@@ -17,7 +17,7 @@ trap 'kill "$pid" 2>/dev/null || true; wait "$pid" 2>/dev/null || true; rm -rf "
 
 go build -o "$workdir/surfnetd" ./cmd/surfnetd
 go build -o "$workdir/surfload" ./cmd/surfload
-go build -o "$workdir/flightview" ./cmd/flightview
+go build -o "$workdir/traceview" ./cmd/traceview
 
 # Chaos armed: the 2x resilience scenario plus a scripted node outage, with a
 # low replan threshold so fault stalls land within seconds.
@@ -104,12 +104,12 @@ assert abs(tr["total_seconds"] - tr["total_wall_ns"] / 1e9) < 1e-12, tr
 assert tr["events"][-1]["kind"] == "terminal", tr["events"][-1]
 '
 
-# flightview renders both the bundle (with rollup) and a single trace.
-"$workdir/flightview" "$bundle" >"$workdir/flightview.txt"
+# traceview renders both the bundle (with rollup) and a single trace.
+"$workdir/traceview" "$bundle" >"$workdir/flightview.txt"
 grep -q "flight $trace_id" "$workdir/flightview.txt" \
   && grep -q "attribution" "$workdir/flightview.txt" \
   || { echo "flightview rendering incomplete"; cat "$workdir/flightview.txt"; exit 1; }
-curl -fsS "http://$addr/v1/transfers/$trace_id/trace" | "$workdir/flightview" \
+curl -fsS "http://$addr/v1/transfers/$trace_id/trace" | "$workdir/traceview" \
   | grep -q "flight $trace_id" || { echo "flightview failed on a bare trace"; exit 1; }
 
 # Unknown IDs and unmatched /v1/ paths answer with the JSON error envelope.

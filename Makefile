@@ -33,10 +33,12 @@ check: vet race surfbench-check
 # MWPMDecode covers the dense-vs-scratch sparse decode comparison;
 # DecodeWallLatency adds the wall-latency percentile families (p50/p99/p999);
 # BatchSample/BatchDecode ratchet the packed 64-lane engine's ns/trial against
-# the scalar pipeline; ScheduleLP and PlannerEpochs are the planning layer
-# (one cold LP schedule, and the daemon's new-request-set-per-epoch re-plans).
+# the scalar pipeline; ScheduleLP, PlannerEpochs and PlannerK1 are the
+# planning layer (one cold K=6 LP schedule, the daemon's new-request-set-per-
+# epoch re-plans at K=8, and the one-request plan the daemon runs on almost
+# every epoch).
 bench-json:
-	$(GO) test -run '^$$' -bench 'SurfNetDecoder|UnionFindDecoder|MWPMDecoder|MWPMDecode/|DecodeFrameAllocs|RunOverhead|DecodeWallLatency|BatchSample|BatchDecode|ScheduleLP|PlannerEpochs' \
+	$(GO) test -run '^$$' -bench 'SurfNetDecoder|UnionFindDecoder|MWPMDecoder|MWPMDecode/|DecodeFrameAllocs|RunOverhead|DecodeWallLatency|BatchSample|BatchDecode|ScheduleLP|PlannerEpochs|PlannerK1' \
 		-benchmem -benchtime $(BENCHTIME) ./... | $(GO) run ./cmd/benchjson -out BENCH_decoder.json
 
 # Fast end-to-end check that the benchmark trajectory stays machine-readable:

@@ -373,6 +373,34 @@ func BenchmarkPlannerEpochs(b *testing.B) {
 	}
 }
 
+// BenchmarkPlannerK1 measures the plan the resident daemon runs on almost
+// every epoch: one Planner on the abundant/good network of net seed 1
+// planning one fresh request per op in surfload's mix (a uniform pair of
+// distinct users, 1-2 messages), cycling over 64 requests.
+func BenchmarkPlannerK1(b *testing.B) {
+	net, err := topology.Generate(topology.DefaultParams(topology.Abundant, topology.GoodConnection), rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	users := net.NodesByRole(network.User)
+	mix := rng.New(3)
+	reqs := make([][]network.Request, 64)
+	for i := range reqs {
+		ai, bi := mix.IntN(len(users)), mix.IntN(len(users)-1)
+		if bi >= ai {
+			bi++
+		}
+		reqs[i] = []network.Request{{Src: users[ai], Dst: users[bi], Messages: 1 + mix.IntN(2)}}
+	}
+	pl := routing.NewPlanner(routing.DefaultParams(routing.SurfNet))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pl.Plan(net, reqs[i%len(reqs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkExecuteEngine measures the online execution of one scheduled
 // batch through the slot-level engine.
 func BenchmarkExecuteEngine(b *testing.B) {

@@ -1,5 +1,6 @@
-// Package lp provides a self-contained linear-programming solver: a
-// two-phase primal tableau simplex with Bland anti-cycling.
+// Package lp provides a self-contained linear-programming solver: a primal
+// tableau simplex with a Harris two-pass ratio test and Bland anti-cycling,
+// which runs phase 1 only when the starting basis is infeasible.
 //
 // The routing protocol of §V formulates scheduling as an integer program and
 // evaluates "a relaxed Linear Programming version with rounding"; this solver
@@ -139,12 +140,13 @@ func (s Status) String() string {
 // on every outcome, ErrIterationLimit included.
 type Stats struct {
 	// Pivots is the total number of Gauss-Jordan pivots the call performed:
-	// both phases, the basis-repair pivots between them and, when SolveFrom
-	// falls back to a cold solve, the installation pivots it discarded.
+	// both phases and, when SolveFrom falls back to a cold solve, the
+	// installation pivots it discarded.
 	Pivots int
 	// Phase1Pivots is the pivot count attributable to phase 1 (the basis
 	// installation on a warm start; excluding discarded pivots on a
-	// fallback).
+	// fallback). It is zero when the cold starting basis is already
+	// feasible and phase 1 is skipped.
 	Phase1Pivots int
 	// Iterations is the number of simplex iterations (entering-column
 	// selections) in the two phases; each phase's final optimality check is
@@ -179,34 +181,42 @@ var (
 	ErrIterationLimit = errors.New("lp: iteration limit exceeded")
 )
 
-// Simplex tolerances. The three numeric thresholds form one documented
-// scheme instead of ad-hoc magic numbers at each comparison site:
+// Simplex tolerances. The numeric thresholds form one documented scheme
+// instead of ad-hoc magic numbers at each comparison site:
 //
 //   - pivotEps classifies tableau entries and ratio-test steps as numerically
 //     zero. It bounds accumulated elimination roundoff, which is independent
 //     of problem magnitude, so it is absolute.
+//   - harrisDelta is the primal infeasibility the Harris ratio test tolerates
+//     on each step: the step may overshoot a blocking row by harrisDelta/a,
+//     which buys the freedom to pivot on the largest entry among the nearly
+//     tied rows instead of a tiny one that blows up the tableau. A row left
+//     negative is shifted back to zero when it leaves the basis.
 //   - enterEps is the reduced-cost threshold for entering columns — two
 //     decades above pivotEps so elimination noise in the objective row can
 //     never be mistaken for an improving direction.
-//   - feasRelTol is the phase-1 feasibility test, *relative* to the problem's
+//   - feasRelTol is the feasibility test, *relative* to the problem's
 //     right-hand-side magnitude: phase 1 declares infeasibility when the
-//     residual artificial mass exceeds feasRelTol * max(1, max|RHS|).
-//     An absolute cutoff here disagrees with the other two scales on badly
+//     residual artificial mass exceeds feasRelTol * max(1, max|RHS|), and a
+//     warm-started vertex is refused when it leaves a row further than that
+//     from feasibility. An absolute cutoff here disagrees with the other
+//     scales on badly
 //     scaled instances — a constraint system with RHS values around 1e-7
 //     can be genuinely infeasible by several times its own magnitude while
 //     the residual stays under any fixed cutoff (see
 //     TestPhase1FeasibilityScale).
 const (
 	pivotEps     = 1e-9
+	harrisDelta  = 1e-9
 	enterEps     = 1e-7
 	feasRelTol   = 1e-7
 	blandTrigger = 1500 // degenerate pivots before switching to Bland's rule
 	refreshEvery = 256  // pivots between exact reduced-cost recomputations
 )
 
-// Solve runs two-phase primal simplex. An Infeasible or Unbounded status is
-// reported in the Solution, not as an error; errors indicate solver failure.
-// On ErrIterationLimit the Solution still carries the effort Stats.
+// Solve runs primal simplex. An Infeasible or Unbounded status is reported in
+// the Solution, not as an error; errors indicate solver failure. On
+// ErrIterationLimit the Solution still carries the effort Stats.
 func (p *Problem) Solve() (Solution, error) {
 	return p.solve(nil, p.tableau)
 }
@@ -216,10 +226,11 @@ func (p *Problem) Solve() (Solution, error) {
 // resulting vertex is primal-feasible, phase 1 is skipped entirely — the
 // re-plan path for a resident control plane re-solving the same requests
 // after small topology or demand deltas. Whenever the basis cannot be
-// installed (shape mismatch, singular or artificial columns) or the vertex is
-// infeasible for the new right-hand side, it falls back to a cold Solve, so
-// SolveFrom never sacrifices correctness for speed; the Stats of a fallback
-// include the installation pivots it discarded. A nil basis is exactly Solve.
+// installed (shape mismatch, out-of-range or singular columns) or the vertex
+// is infeasible for the new right-hand side, it falls back to a cold Solve,
+// so SolveFrom never sacrifices correctness for speed; the Stats of a
+// fallback include the installation pivots it discarded. A nil basis is
+// exactly Solve.
 func (p *Problem) SolveFrom(basis []int) (Solution, error) {
 	return p.solve(basis, p.tableau)
 }
@@ -242,15 +253,28 @@ func (p *Problem) solve(basis []int, build func() *simplex) (Solution, error) {
 	return sol, err
 }
 
-// cold runs both simplex phases from the slack/artificial starting basis.
+// cold solves from the slack/artificial starting basis. Phase 1 (minimize
+// the sum of artificials) runs whenever that basis puts any artificial above
+// zero; a program whose artificial rows all have zero right-hand side —
+// every routing LP — starts feasible and skips it. Either way, artificials
+// still basic afterwards stay in the basis, and phase 2 holds them at zero
+// level. The mass is tested against exact zero, not the feasibility
+// tolerance: that tolerance scales with the largest right-hand side in the
+// whole program, so a small row could otherwise start infeasible and stay so
+// (TestPhase1RunsOnSmallRowInLargeProgram).
 func (p *Problem) cold(s *simplex) (Solution, error) {
-	// Phase 1: minimize the sum of artificial variables.
-	if s.artStart < s.total {
+	mass := 0.0
+	for i, b := range s.basis {
+		if b >= s.artStart {
+			mass += s.t[i][s.total]
+		}
+	}
+	if mass > 0 {
 		obj := make([]float64, s.total)
 		for j := s.artStart; j < s.total; j++ {
 			obj[j] = -1 // maximize -(sum of artificials)
 		}
-		val, err := s.optimize(obj, s.artStart)
+		val, err := s.optimize(obj, false)
 		s.stats.Phase1Pivots = s.stats.Pivots
 		if err != nil {
 			return Solution{Stats: s.stats}, fmt.Errorf("phase 1: %w", err)
@@ -258,40 +282,21 @@ func (p *Problem) cold(s *simplex) (Solution, error) {
 		if val < -feasRelTol*s.feasScale {
 			return Solution{Status: Infeasible, Stats: s.stats}, nil
 		}
-		// Drive any artificial still in the basis out (degenerate rows)
-		// or drop the row if it is all zeros.
-		for i := range s.t {
-			if s.basis[i] < s.artStart {
-				continue
-			}
-			pivoted := false
-			for j := 0; j < s.artStart; j++ {
-				if math.Abs(s.t[i][j]) > pivotEps {
-					s.pivot(i, j)
-					pivoted = true
-					break
-				}
-			}
-			if !pivoted {
-				// Redundant row; zero it so it never constrains.
-				clear(s.t[i])
-			}
-		}
 	}
-	s.stats.Phase1Pivots = s.stats.Pivots
 	return p.phase2(s)
 }
 
 // install pivots the canonical tableau onto the given basis, assigning each
 // basis column to the unused row with the largest pivot magnitude (partial
-// pivoting). It reports false — leaving the caller to fall back to a cold
-// solve — when a column is out of range, artificial, duplicated, or the
-// basis matrix is numerically singular.
+// pivoting). Artificial columns install like any other: an exported basis
+// keeps the artificials its solve held at zero level. It reports false —
+// leaving the caller to fall back to a cold solve — when a column is out of
+// range, duplicated, or the basis matrix is numerically singular.
 func (s *simplex) install(basis []int) bool {
 	m := len(s.t)
 	used := make([]bool, m)
 	for _, b := range basis {
-		if b < 0 || b >= s.artStart {
+		if b < 0 || b >= s.total {
 			return false
 		}
 		row, best := -1, pivotEps
@@ -313,12 +318,14 @@ func (s *simplex) install(basis []int) bool {
 }
 
 // clampFeasible reports whether the installed vertex is primal-feasible for
-// the right-hand side, clamping elimination roundoff below the feasibility
-// scale to zero.
+// the right-hand side and leaves every basic artificial at zero level, both
+// within the feasibility scale; it clamps the negative roundoff it accepts
+// to zero.
 func (s *simplex) clampFeasible() bool {
-	for _, r := range s.t {
+	tol := feasRelTol * s.feasScale
+	for i, r := range s.t {
 		rhs := r[s.total]
-		if rhs < -feasRelTol*s.feasScale {
+		if rhs < -tol || s.basis[i] >= s.artStart && rhs > tol {
 			return false
 		}
 		if rhs < 0 {
@@ -399,9 +406,9 @@ func normalized(c Constraint) (float64, Sense) {
 	return -c.RHS, Equal
 }
 
-// phase2 maximizes the real objective over structural columns only from the
-// current (feasible) basis, then extracts the solution. Artificials are
-// frozen at zero by restricting entering columns below artStart.
+// phase2 maximizes the real objective from the current (feasible) basis,
+// then extracts the solution. Artificials never enter, and the basic ones are
+// held at zero level until they leave (see ratioTest).
 func (p *Problem) phase2(s *simplex) (Solution, error) {
 	n := p.numVars
 	total := s.total
@@ -413,7 +420,7 @@ func (p *Problem) phase2(s *simplex) (Solution, error) {
 			obj[j] = -p.objective[j]
 		}
 	}
-	val, err := s.optimize(obj, s.artStart)
+	val, err := s.optimize(obj, true)
 	if err != nil {
 		if errors.Is(err, errUnbounded) {
 			return Solution{Status: Unbounded, Stats: s.stats}, nil
@@ -501,9 +508,11 @@ func (s *simplex) sparsePivot(row, col int) {
 	s.stats.Pivots++
 }
 
-// optimize maximizes obj over the current basis, entering only columns below
-// colLimit. It returns the achieved objective value.
-func (s *simplex) optimize(obj []float64, colLimit int) (float64, error) {
+// optimize maximizes obj over the current basis; artificial columns never
+// enter. With hold set, basic artificials are held at zero level (phase 2);
+// without it they may fall like any basic variable (phase 1). It returns the
+// achieved objective value.
+func (s *simplex) optimize(obj []float64, hold bool) (float64, error) {
 	m := len(s.t)
 	total := s.total
 	// Reduced costs z_j - c_j are maintained incrementally in an explicit
@@ -521,19 +530,14 @@ func (s *simplex) optimize(obj []float64, colLimit int) (float64, error) {
 			s.reducedCosts(obj, z)
 		}
 		// Entering column.
+		bland := degenerate >= blandTrigger
 		col := -1
-		if degenerate < blandTrigger {
-			best := -enterEps
-			for j := 0; j < colLimit; j++ {
-				if z[j] < best {
-					best = z[j]
-					col = j
-				}
-			}
-		} else {
-			for j := 0; j < colLimit; j++ { // Bland: smallest index
-				if z[j] < -enterEps {
-					col = j
+		best := -enterEps
+		for j := 0; j < s.artStart; j++ {
+			if z[j] < best {
+				best = z[j]
+				col = j
+				if bland { // Bland: smallest improving index
 					break
 				}
 			}
@@ -541,29 +545,23 @@ func (s *simplex) optimize(obj []float64, colLimit int) (float64, error) {
 		if col < 0 {
 			return z[total], nil // optimal
 		}
-		// Ratio test.
-		row := -1
-		bestRatio := math.Inf(1)
-		for i := 0; i < m; i++ {
-			a := s.t[i][col]
-			if a <= pivotEps {
-				continue
-			}
-			ratio := s.t[i][total] / a
-			if ratio < bestRatio-pivotEps ||
-				(ratio < bestRatio+pivotEps && (row < 0 || s.basis[i] < s.basis[row])) {
-				bestRatio = ratio
-				row = i
-			}
-		}
+		row, step := s.ratioTest(col, hold, bland)
 		if row < 0 {
 			return 0, errUnbounded
 		}
-		if bestRatio < pivotEps {
+		if step < pivotEps {
 			degenerate++
 			s.stats.DegeneratePivots++
 		} else {
 			degenerate = 0
+		}
+		if r := s.t[row]; r[total] < 0 || hold && s.basis[row] >= s.artStart {
+			// Harris shift: the leaving row moves to the zero level the ratio
+			// test priced it at — a row overshot negative by an earlier
+			// step, or a held artificial within tolerance of zero — so the
+			// entering value is the reported step, never negative.
+			z[total] -= objAt(obj, s.basis[row]) * r[total]
+			r[total] = 0
 		}
 		s.pivot(row, col)
 		// Update the reduced-cost row like any other row.
@@ -577,6 +575,51 @@ func (s *simplex) optimize(obj []float64, colLimit int) (float64, error) {
 		}
 	}
 	return 0, ErrIterationLimit
+}
+
+// ratioTest picks the leaving row for entering column col by Harris's
+// two-pass test and returns it with its step (-1 when nothing blocks: the
+// column is unbounded). Pass 1 bounds the step by the smallest
+// (max(rhs, 0) + harrisDelta) / a over the rows with a > pivotEps; pass 2
+// takes, among the rows whose own ratio max(rhs, 0) / a is within that bound,
+// the one with the largest |a| — or, in Bland mode, the smallest basic index,
+// so anti-cycling keeps its guarantee. With hold set, a row whose basic
+// variable is artificial blocks at ratio 0 any entry with |a| > pivotEps of
+// either sign, so the artificial leaves before it could move off zero.
+func (s *simplex) ratioTest(col int, hold, bland bool) (int, float64) {
+	held := func(i int, a float64) bool {
+		return hold && s.basis[i] >= s.artStart && math.Abs(a) > pivotEps
+	}
+	bound := math.Inf(1)
+	for i, r := range s.t {
+		a := r[col]
+		switch {
+		case held(i, a):
+			bound = 0
+		case a > pivotEps:
+			bound = min(bound, (max(r[s.total], 0)+harrisDelta)/a)
+		}
+	}
+	row, step, best := -1, 0.0, 0.0
+	for i, r := range s.t {
+		a := r[col]
+		var ratio float64
+		switch {
+		case held(i, a):
+			ratio = 0
+		case a > pivotEps:
+			ratio = max(r[s.total], 0) / a
+		default:
+			continue
+		}
+		if ratio > bound {
+			continue
+		}
+		if row < 0 || bland && s.basis[i] < s.basis[row] || !bland && math.Abs(a) > best {
+			row, step, best = i, ratio, math.Abs(a)
+		}
+	}
+	return row, step
 }
 
 // reducedCosts recomputes the objective row exactly: z_j = sum over rows of

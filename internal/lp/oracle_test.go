@@ -187,6 +187,7 @@ func FuzzSolve(f *testing.F) {
 				t.Fatalf("%s (basis %v): sparse %+v (err %v), dense %+v (err %v)",
 					what, basis, got, gotErr, want, wantErr)
 			}
+			mustCertify(t, p, got)
 			return got
 		}
 		cold := check("cold", nil)
@@ -220,6 +221,7 @@ func TestOracleAgreesOnLargerPrograms(t *testing.T) {
 		if (gotErr == nil) != (wantErr == nil) || !sameSolution(got, want) {
 			t.Fatalf("trial %d: sparse %+v (err %v), dense %+v (err %v)", trial, got, gotErr, want, wantErr)
 		}
+		mustCertify(t, p, got)
 	}
 }
 

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"surfnet/internal/rng"
@@ -20,10 +21,12 @@ func warmBase(delta float64) *Problem {
 func TestSolveFromNilBasisIsColdSolve(t *testing.T) {
 	p := warmBase(0)
 	cold := solveOK(t, p)
-	warm, err := warmBase(0).SolveFrom(nil)
+	q := warmBase(0)
+	warm, err := q.SolveFrom(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustCertify(t, q, warm)
 	if warm.Stats.WarmStarted {
 		t.Error("nil basis must not report a warm start")
 	}
@@ -49,10 +52,10 @@ func TestSolveFromReusesBasis(t *testing.T) {
 	if warm.Status != Optimal {
 		t.Fatalf("status = %v", warm.Status)
 	}
+	mustCertify(t, p, warm)
 	if !warm.Stats.WarmStarted {
 		t.Fatal("expected a warm start")
 	}
-	feasCheck(t, p, warm.X)
 	want := solveOK(t, warmBase(0.5))
 	if math.Abs(warm.Objective-want.Objective) > 1e-6 {
 		t.Fatalf("warm objective %v != cold %v", warm.Objective, want.Objective)
@@ -65,6 +68,7 @@ func TestSolveFromShapeMismatchFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustCertify(t, p, warm)
 	if warm.Stats.WarmStarted {
 		t.Error("shape mismatch must fall back to cold solve")
 	}
@@ -80,6 +84,7 @@ func TestSolveFromSingularBasisFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustCertify(t, p, warm)
 	if warm.Stats.WarmStarted {
 		t.Error("singular basis must fall back")
 	}
@@ -107,31 +112,63 @@ func TestSolveFromInfeasibleVertexFallsBack(t *testing.T) {
 	if warm.Status != Optimal {
 		t.Fatalf("status = %v", warm.Status)
 	}
-	feasCheck(t, p, warm.X)
+	mustCertify(t, p, warm)
 }
 
 func TestSolveFromArtificialBasisColumnFallsBack(t *testing.T) {
-	// An equality row can leave a redundant-row artificial in the exported
-	// basis; feeding such a basis to SolveFrom must fall back, not install
-	// an artificial column.
-	p := NewMaximize(1)
-	p.SetObjective(0, 1)
-	mustAdd(t, p, Constraint{Terms: []Term{{0, 1}}, Sense: LessEq, RHS: 2})
-	sol := solveOK(t, p)
+	// A program of one variable and one <= row has a structural and a slack
+	// column and no artificial: column 2, where the first artificial would
+	// sit, is past the last tableau column. Such a basis cannot be
+	// installed, so SolveFrom must fall back to a cold solve.
 	q := NewMaximize(1)
 	q.SetObjective(0, 1)
 	mustAdd(t, q, Constraint{Terms: []Term{{0, 1}}, Sense: LessEq, RHS: 2})
-	// Column 2 would be the first artificial slot if one existed; it is out
-	// of the structural+slack range for this instance.
-	warm, err := q.SolveFrom([]int{len(sol.X) + 1})
+	warm, err := q.SolveFrom([]int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustCertify(t, q, warm)
 	if warm.Stats.WarmStarted {
 		t.Error("out-of-range basis column must fall back")
 	}
 	if warm.Status != Optimal || math.Abs(warm.Objective-2) > 1e-9 {
 		t.Fatalf("fallback solve wrong: %v obj %v", warm.Status, warm.Objective)
+	}
+}
+
+// TestSolveFromZeroLevelArtificialInstalls pins that an exported basis
+// holding an artificial at zero level is a basis like any other: the
+// duplicated equality leaves its artificial basic in the redundant row, and
+// re-solving a shifted right-hand side from that basis installs it and skips
+// phase 1.
+func TestSolveFromZeroLevelArtificialInstalls(t *testing.T) {
+	build := func(rhs float64) *Problem {
+		p := NewMaximize(2)
+		p.SetObjective(0, 1)
+		mustAdd(t, p, Constraint{Terms: []Term{{0, 1}, {1, 1}}, Sense: Equal, RHS: rhs})
+		mustAdd(t, p, Constraint{Terms: []Term{{0, 2}, {1, 2}}, Sense: Equal, RHS: 2 * rhs})
+		return p
+	}
+	cold := solveOK(t, build(2))
+	// Two structural columns and no slacks: columns 2 and 3 are the rows'
+	// artificials.
+	if !slices.ContainsFunc(cold.Basis, func(c int) bool { return c >= 2 }) {
+		t.Fatalf("precondition: basis %v holds no artificial", cold.Basis)
+	}
+	p := build(2.5)
+	warm, err := p.SolveFrom(cold.Basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCertify(t, p, warm)
+	if !warm.Stats.WarmStarted {
+		t.Fatal("a basis with a zero-level artificial must install")
+	}
+	if warm.Status != Optimal || math.Abs(warm.Objective-2.5) > 1e-9 {
+		t.Fatalf("warm solve wrong: %v obj %v", warm.Status, warm.Objective)
+	}
+	if warm.Stats.Phase1Pivots > len(cold.Basis) {
+		t.Fatalf("phase-1 pivots = %d, want only the %d installation pivots", warm.Stats.Phase1Pivots, len(cold.Basis))
 	}
 }
 
@@ -160,21 +197,15 @@ func TestSolveFromRandomPerturbations(t *testing.T) {
 			}
 			return p
 		}
-		base, err := build(0).Solve()
-		if err != nil || base.Status != Optimal {
-			t.Fatalf("trial %d: base %v %v", trial, base.Status, err)
-		}
+		base := solveOK(t, build(0))
 		const delta = 0.05
-		cold, err := build(delta).Solve()
-		if err != nil || cold.Status != Optimal {
-			t.Fatalf("trial %d: cold %v %v", trial, cold.Status, err)
-		}
+		cold := solveOK(t, build(delta))
 		p := build(delta)
 		warm, err := p.SolveFrom(base.Basis)
 		if err != nil || warm.Status != Optimal {
 			t.Fatalf("trial %d: warm %v %v", trial, warm.Status, err)
 		}
-		feasCheck(t, p, warm.X)
+		mustCertify(t, p, warm)
 		if math.Abs(warm.Objective-cold.Objective) > 1e-6*(1+math.Abs(cold.Objective)) {
 			t.Fatalf("trial %d: warm objective %v != cold %v (warmStarted=%v)",
 				trial, warm.Objective, cold.Objective, warm.Stats.WarmStarted)
@@ -201,10 +232,12 @@ func TestSolveFromSavesPhase1(t *testing.T) {
 	if cold.Stats.Phase1Pivots == 0 {
 		t.Fatal("precondition: cold solve should need phase 1")
 	}
-	warm, err := build().SolveFrom(cold.Basis)
+	q := build()
+	warm, err := q.SolveFrom(cold.Basis)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustCertify(t, q, warm)
 	if !warm.Stats.WarmStarted {
 		t.Fatal("expected warm start on identical instance")
 	}
@@ -223,10 +256,12 @@ func TestSolveFromSavesPhase1(t *testing.T) {
 // fallback's Stats must include them on top of the cold solve's own.
 func TestSolveFromFallbackCountsDiscardedPivots(t *testing.T) {
 	cold := solveOK(t, warmBase(0))
-	warm, err := warmBase(0).SolveFrom([]int{0, 0}) // first pivot installs, second is singular
+	p := warmBase(0)
+	warm, err := p.SolveFrom([]int{0, 0}) // first pivot installs, second is singular
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustCertify(t, p, warm)
 	if warm.Stats.WarmStarted {
 		t.Fatal("singular basis must fall back")
 	}

@@ -40,6 +40,7 @@ expected = [
     "BenchmarkBatchDecode/erasure/d=9/scalar",
     "BenchmarkScheduleLP",
     "BenchmarkPlannerEpochs",
+    "BenchmarkPlannerK1",
 ]
 missing = [e for e in expected if not any(n.startswith(e) for n in names)]
 if missing:

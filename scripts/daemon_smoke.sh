@@ -49,8 +49,10 @@ assert net["fibers"], net
 
 # Phase 1: a 1000-request open-loop run. The rate deliberately exceeds what
 # the daemon absorbs with this queue bound, so admission control must shed —
-# surfload exits 0 as long as nothing errors or times out.
-"$workdir/surfload" -addr "$addr" -rate 500 -requests 1000 -seed 7 \
+# surfload exits 0 as long as nothing errors or times out. 5000/s is several
+# times the daemon's planning capacity at 8 transfers per epoch; at 500/s
+# the daemon keeps up and nothing is shed.
+"$workdir/surfload" -addr "$addr" -rate 5000 -requests 1000 -seed 7 \
   -timeout 120s -out "$workdir/BENCH_service.json" \
   || { echo "surfload run failed"; cat "$stderr"; exit 1; }
 
